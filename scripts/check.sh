@@ -74,7 +74,7 @@ BUILD_TARGETS=()
 if [[ "$SUITE" == "stress" ]]; then
   SANITIZER=thread
   export CCE_STRESS=1
-  SUITE_ARGS=(-R 'Overload|TokenBucket|ProxyConcurrency|ProxyDurability|ContextWal|ThreadPool|ConformityStress|EngineEquivalence|BatchEquivalence|CacheFreshness|ShardEquivalence|ReplicaStaleness|RepairIdempotency')
+  SUITE_ARGS=(-R 'Overload|TokenBucket|ProxyConcurrency|ProxyDurability|ContextWal|ThreadPool|ConformityStress|EngineEquivalence|BatchEquivalence|CacheFreshness|ShardEquivalence|ShardIndex|ReplicaStaleness|RepairIdempotency')
 elif [[ "$SUITE" == "docs" ]]; then
   python3 scripts/check_docs.py
   SUITE_ARGS=(-R 'MetricsDoc|ProtocolDoc|Exposition')

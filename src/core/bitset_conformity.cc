@@ -125,9 +125,7 @@ size_t BitsetConformityChecker::CountViolators(
     if (bits == nullptr) return 0;  // unseen value: nothing agrees
     ops.push_back(bits->data());
   }
-  const RowBitmap* label =
-      y0 < label_bits_.size() ? &label_bits_[y0] : nullptr;
-  return CountFused(ops, label);
+  return CountFused(ops, LabelBits(y0));
 }
 
 double BitsetConformityChecker::Precision(const Instance& x0, Label y0,
@@ -184,6 +182,26 @@ void BitsetConformityChecker::RemoveRow(size_t row) {
   if (!live_.Test(row)) return;
   live_.Clear(row);
   --live_rows_;
+}
+
+void BitsetConformityChecker::DropLeadingWords(size_t words) {
+  CCE_CHECK(64 * words <= next_row_);
+  for (size_t w = 0; w < words; ++w) CCE_CHECK(live_.data()[w] == 0);
+  for (auto& per_feature : value_bits_) {
+    for (RowBitmap& bits : per_feature) bits.DropLeadingWords(words);
+  }
+  for (RowBitmap& bits : label_bits_) bits.DropLeadingWords(words);
+  live_.DropLeadingWords(words);
+  next_row_ -= 64 * words;
+}
+
+size_t BitsetConformityChecker::bytes() const {
+  size_t words = live_.num_words();
+  for (const auto& per_feature : value_bits_) {
+    for (const RowBitmap& bits : per_feature) words += bits.num_words();
+  }
+  for (const RowBitmap& bits : label_bits_) words += bits.num_words();
+  return words * sizeof(uint64_t);
 }
 
 }  // namespace cce

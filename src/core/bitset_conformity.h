@@ -94,9 +94,35 @@ class BitsetConformityChecker {
   /// Rows currently live (the |I| of every budget computation).
   size_t live_rows() const { return live_rows_; }
 
-  /// Row ids ever allocated (bitmap length). Grows monotonically; rebuild
-  /// the checker when the live fraction gets small to reclaim space.
+  /// Row ids allocated so far. Grows with AddRow; only DropLeadingWords
+  /// gives ids back.
   size_t allocated_rows() const { return next_row_; }
+
+  /// Reclaims the ids of removed rows at the front: drops the first
+  /// 64 * words ids, which must all be removed, and renumbers every later
+  /// row id r to r - 64 * words. One memmove per bitmap — O(bytes()), no
+  /// per-row work and no allocation.
+  void DropLeadingWords(size_t words);
+
+  /// Heap bytes held by the bitmaps: (sum of domain sizes + labels + 1)
+  /// bitmaps of capacity_rows / 8 bytes each.
+  size_t bytes() const;
+
+  // -- Raw bitmaps (read-only; same synchronisation as the queries). Bit i
+  //    of each is row id i; bits of removed rows stay set in the value and
+  //    label bitmaps, so AND with live_bits() before counting them.
+
+  /// The value bitmap for (feature, value); null when the value was never
+  /// indexed (unseen dictionary code) — i.e. no row matches.
+  const RowBitmap* ValueBits(FeatureId feature, ValueId value) const;
+
+  /// Rows labelled `y`; null when the label was never indexed.
+  const RowBitmap* LabelBits(Label y) const {
+    return y < label_bits_.size() ? &label_bits_[y] : nullptr;
+  }
+
+  /// Rows not yet removed.
+  const RowBitmap& live_bits() const { return live_; }
 
   /// Cumulative pool tasks dispatched by sharded counts — the "shard
   /// fanout" observability signal. 0 while everything ran serial.
@@ -105,10 +131,6 @@ class BitsetConformityChecker {
   }
 
  private:
-  /// The value bitmap for (feature, value); null when the value was never
-  /// indexed (unseen dictionary code) — i.e. no row matches.
-  const RowBitmap* ValueBits(FeatureId feature, ValueId value) const;
-
   /// live & ~label[y0] & AND of `ops`; returns the popcount. Sharded
   /// across the pool when the word range is large enough.
   size_t CountFused(const std::vector<const uint64_t*>& ops,

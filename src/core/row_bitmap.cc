@@ -1,5 +1,6 @@
 #include "core/row_bitmap.h"
 
+#include <algorithm>
 #include <bit>
 
 #include "common/logging.h"
@@ -11,6 +12,12 @@ void RowBitmap::Resize(size_t rows) {
   rows_ = rows;
   words_.resize((rows + 63) / 64, 0);
   ClearTail();
+}
+
+void RowBitmap::DropLeadingWords(size_t count) {
+  CCE_CHECK(count <= words_.size());
+  std::copy(words_.begin() + count, words_.end(), words_.begin());
+  std::fill(words_.end() - count, words_.end(), 0);
 }
 
 void RowBitmap::SetAll() {

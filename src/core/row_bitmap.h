@@ -46,6 +46,11 @@ class RowBitmap {
     return (words_[row >> 6] >> (row & 63)) & 1;
   }
 
+  /// Shifts every bit down by 64 * count positions (row r becomes row
+  /// r - 64 * count), dropping the first `count` words and zero-filling
+  /// the end. size() is unchanged. One memmove of the word array.
+  void DropLeadingWords(size_t count);
+
   /// Sets every bit in [0, size()).
   void SetAll();
   /// Clears every bit.

@@ -1,33 +1,68 @@
 #include "core/srk.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
 #include "core/conformity.h"
-#include "core/row_bitmap.h"
 
 namespace cce {
 
 namespace {
 
-/// The greedy half of the bitset engine, shared by the single-instance and
-/// batched entry points: the same decision sequence as the sorted-row-id
-/// loop in ExplainInstance below, expressed over prebuilt per-feature
-/// agreement bitmaps (`agree`, n of them) and a violator bitmap (mutated in
-/// place). `pool` shards only the candidate *counting*; the arg-min scan is
-/// always serial in ascending feature order, so the picks — and therefore
-/// the key — are independent of pool width and of whether the bitmaps were
-/// built alone or as one slice of a batch build.
-KeyResult RunBitsetGreedy(size_t n, size_t context_size, size_t tolerated,
-                          const Deadline& deadline, RowBitmap* agree,
-                          RowBitmap* violators_in,
-                          const std::vector<size_t>& value_frequency,
-                          ThreadPool* pool, Srk::EngineStats* stats) {
+using BitsetPart = Srk::BitsetPart;
+
+/// floor((1 - alpha) * rows), with the epsilon guard every engine shares so
+/// the budget is the same integer wherever it is computed.
+size_t ViolatorBudget(double alpha, size_t rows) {
+  return static_cast<size_t>(
+      std::floor((1.0 - alpha) * static_cast<double>(rows) + 1e-9));
+}
+
+size_t WordsFor(size_t rows) { return (rows + 63) / 64; }
+
+const uint64_t* AgreeWords(const BitsetPart& part, FeatureId f) {
+  return part.block + (1 + static_cast<size_t>(f)) * part.words;
+}
+
+size_t CountWords(const uint64_t* words, size_t count) {
+  size_t bits = 0;
+  for (size_t w = 0; w < count; ++w) bits += std::popcount(words[w]);
+  return bits;
+}
+
+/// Set bits among positions [0, limit) of `words`.
+size_t CountPrefixWords(const uint64_t* words, size_t limit) {
+  const size_t full = limit >> 6;
+  size_t bits = CountWords(words, full);
+  if ((limit & 63) != 0) {
+    bits += std::popcount(words[full] & ((uint64_t{1} << (limit & 63)) - 1));
+  }
+  return bits;
+}
+
+size_t AndCountWords(const uint64_t* a, const uint64_t* b, size_t count) {
+  size_t bits = 0;
+  for (size_t w = 0; w < count; ++w) bits += std::popcount(a[w] & b[w]);
+  return bits;
+}
+
+/// The one greedy of the bitset engine: the same decision sequence as the
+/// sorted-row-id loop in ExplainInstance below, over violator and agreement
+/// word arrays split into disjoint parts (one part for a materialized
+/// Context, one per shard for the proxy's index read path). Every compared
+/// quantity — candidate counts, tie-break frequencies — is an exact integer
+/// summed over the parts, and the arg-min scan is serial in ascending
+/// feature order, so the key depends neither on how the rows are split
+/// into parts nor on `pool`, which shards only the candidate counting.
+KeyResult RunBitsetGreedy(const std::vector<BitsetPart>& parts, size_t n,
+                          size_t context_size, size_t tolerated,
+                          const Deadline& deadline, ThreadPool* pool,
+                          Srk::EngineStats* stats) {
   KeyResult result;
-  RowBitmap& violators = *violators_in;
 
   // Runs fn(f) for every feature, across the pool when one is configured.
   // Each task stays serial inside (no nested pool use: non-reentrant).
@@ -42,19 +77,36 @@ KeyResult RunBitsetGreedy(size_t n, size_t context_size, size_t tolerated,
     }
   };
 
-  std::vector<bool> in_key(n, false);
-  size_t violator_count = violators.Count();
+  // Same sampled tie-break frequencies as the reference loop: a prefix
+  // popcount of A_f is the integer the sampled row scan produces.
+  std::vector<size_t> value_frequency(n, 0);
+  size_t violator_count = 0;
+  for (const BitsetPart& part : parts) {
+    violator_count += CountWords(part.block, part.words);
+    for (FeatureId f = 0; f < n; ++f) {
+      value_frequency[f] +=
+          CountPrefixWords(AgreeWords(part, f), part.sample_bits);
+    }
+  }
 
+  std::vector<bool> in_key(n, false);
   const bool bounded = !deadline.infinite();
   auto finish_degraded = [&]() -> KeyResult {
     for (FeatureId f = 0; f < n; ++f) {
       if (!in_key[f]) FeatureSetInsert(&result.key, f);
     }
     // Survivors of the all-feature key are exact duplicates of x0: the
-    // intersection of V with every agreement bitmap.
-    RowBitmap duplicates = violators;
-    for (FeatureId f = 0; f < n; ++f) duplicates.AndWith(agree[f]);
-    const size_t surviving = duplicates.Count();
+    // violators that agree with it on every feature.
+    size_t surviving = 0;
+    for (const BitsetPart& part : parts) {
+      for (size_t w = 0; w < part.words; ++w) {
+        uint64_t acc = part.block[w];
+        for (FeatureId f = 0; f < n && acc != 0; ++f) {
+          acc &= AgreeWords(part, f)[w];
+        }
+        surviving += std::popcount(acc);
+      }
+    }
     result.degraded = true;
     result.achieved_alpha =
         1.0 - static_cast<double>(surviving) /
@@ -67,7 +119,12 @@ KeyResult RunBitsetGreedy(size_t n, size_t context_size, size_t tolerated,
   while (violator_count > tolerated) {
     if (bounded && deadline.expired()) return finish_degraded();
     for_each_feature([&](FeatureId f) {
-      if (!in_key[f]) counts[f] = RowBitmap::AndCount(violators, agree[f]);
+      if (in_key[f]) return;
+      size_t count = 0;
+      for (const BitsetPart& part : parts) {
+        count += AndCountWords(part.block, AgreeWords(part, f), part.words);
+      }
+      counts[f] = count;
     });
     FeatureId best_feature = 0;
     size_t best_count = std::numeric_limits<size_t>::max();
@@ -91,7 +148,10 @@ KeyResult RunBitsetGreedy(size_t n, size_t context_size, size_t tolerated,
     in_key[best_feature] = true;
     FeatureSetInsert(&result.key, best_feature);
     result.pick_order.push_back(best_feature);
-    violators.AndWith(agree[best_feature]);
+    for (const BitsetPart& part : parts) {
+      const uint64_t* agree = AgreeWords(part, best_feature);
+      for (size_t w = 0; w < part.words; ++w) part.block[w] &= agree[w];
+    }
     violator_count = best_count;
   }
 
@@ -104,112 +164,29 @@ KeyResult RunBitsetGreedy(size_t n, size_t context_size, size_t tolerated,
   return result;
 }
 
-/// The bitset path: for a fixed x0 the greedy only ever reads the
-/// (f, x0[f]) slice of the (feature, value) bitmap family, so only that
-/// slice is built: A_f with A_f[row] = (context[row][f] == x0[f]), plus a
-/// violator bitmap V with V[row] = (label[row] != y0). Each candidate count
-/// is then popcount(V & A_f); taking feature f updates V &= A_f.
-///
-/// Determinism: every quantity compared by the greedy (candidate counts,
-/// tie-break frequencies) is an exact integer popcount, so the arg-min scan
-/// — which always runs serially in ascending feature order — picks the same
-/// feature as the reference loop regardless of how the counting work was
-/// sharded. Identical keys with 0, 1 or N pool threads.
-KeyResult ExplainInstanceBitset(const Context& context, const Instance& x0,
-                                Label y0, const Srk::Options& options,
-                                size_t tolerated) {
-  const size_t n = context.num_features();
-  const size_t context_size = context.size();
-  ThreadPool* pool = options.pool;
-  Srk::EngineStats* stats = options.stats;
-
-  // One row-major pass builds every agreement bitmap and the violator
-  // bitmap together: each row is touched once (instances are row-major, so
-  // per-feature column walks would chase the same row pointers n times)
-  // and words are accumulated locally, one store per 64 rows per bitmap.
-  std::vector<RowBitmap> agree(n);
-  for (FeatureId f = 0; f < n; ++f) agree[f].Resize(context_size);
-  RowBitmap violators(context_size);
-  const size_t num_words = violators.num_words();
-  auto build_words = [&](size_t word_begin, size_t word_end) {
-    std::vector<uint64_t> acc(n);
-    for (size_t w = word_begin; w < word_end; ++w) {
-      std::fill(acc.begin(), acc.end(), 0);
-      uint64_t viol = 0;
-      const size_t row_begin = w << 6;
-      const size_t row_end = std::min(context_size, row_begin + 64);
-      for (size_t row = row_begin; row < row_end; ++row) {
-        const Instance& xr = context.instance(row);
-        const uint64_t bit = uint64_t{1} << (row - row_begin);
-        for (FeatureId f = 0; f < n; ++f) {
-          if (xr[f] == x0[f]) acc[f] |= bit;
-        }
-        if (context.label(row) != y0) viol |= bit;
-      }
-      for (FeatureId f = 0; f < n; ++f) agree[f].mutable_data()[w] = acc[f];
-      violators.mutable_data()[w] = viol;
-    }
-  };
-  // Chunks write disjoint word ranges of every bitmap, so the result is
-  // positional — identical for any pool width, including none.
-  constexpr size_t kBuildChunkWords = 1024;  // 64 Ki rows per task
-  if (pool != nullptr && num_words > kBuildChunkWords) {
-    pool->ParallelChunks(num_words, kBuildChunkWords, build_words);
-    if (stats != nullptr) {
-      stats->shard_tasks.fetch_add(
-          (num_words + kBuildChunkWords - 1) / kBuildChunkWords,
-          std::memory_order_relaxed);
-    }
-  } else {
-    build_words(0, num_words);
-  }
-  if (stats != nullptr) {
-    stats->bitmap_builds.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  // Same sampled tie-break frequencies as the reference loop; a prefix
-  // popcount of A_f is the same integer the sampled row scan produces.
-  constexpr size_t kFrequencySample = 2048;
-  const size_t sample_rows = std::min(context_size, kFrequencySample);
-  std::vector<size_t> value_frequency(n, 0);
-  for (FeatureId f = 0; f < n; ++f) {
-    value_frequency[f] = agree[f].CountPrefix(sample_rows);
-  }
-
-  return RunBitsetGreedy(n, context_size, tolerated, options.deadline,
-                         agree.data(), &violators, value_frequency, pool,
-                         stats);
-}
-
-/// The batched bitset path: one fused row-major pass fills EVERY item's
-/// agreement bitmaps and violator bitmap together — each context row's
-/// instance pointer is chased once for the whole batch instead of once per
-/// item — then each item's greedy runs serially inside a per-item task.
-/// Chunks write disjoint word ranges of every bitmap, so the build is
-/// positional: identical bits at any pool width, including none.
-std::vector<KeyResult> ExplainBatchBitset(const Context& context,
-                                          const std::vector<Srk::BatchItem>& items,
-                                          const Srk::Options& options,
-                                          size_t tolerated) {
+/// The bitset engine over a materialized context: for a fixed x0 the greedy
+/// only reads the (f, x0[f]) slice of the (feature, value) bitmap family,
+/// so only that slice is built — per item one BitsetPart block holding
+/// V (label != y0) and A_f (value of f == x0[f]) over every context row.
+/// One row-major pass fills every item's block: each context row's
+/// instance pointer is chased once for the whole batch, and words are
+/// accumulated locally, one store per 64 rows per array. Chunks write
+/// disjoint word ranges, so the build is positional — identical bits at any
+/// pool width, including none.
+std::vector<uint64_t> BuildBlocks(const Context& context,
+                                  const std::vector<Srk::BatchItem>& items,
+                                  ThreadPool* pool, Srk::EngineStats* stats) {
   const size_t n = context.num_features();
   const size_t m = items.size();
   const size_t context_size = context.size();
-  ThreadPool* pool = options.pool;
-  Srk::EngineStats* stats = options.stats;
-
-  // agree[i * n + f] is item i's agreement bitmap for feature f.
-  std::vector<RowBitmap> agree(m * n);
-  for (RowBitmap& bitmap : agree) bitmap.Resize(context_size);
-  std::vector<RowBitmap> violators(m);
-  for (RowBitmap& bitmap : violators) bitmap.Resize(context_size);
-  const size_t num_words = violators[0].num_words();
+  const size_t words = WordsFor(context_size);
+  const size_t arrays = n + 1;  // violators, then one per feature
+  std::vector<uint64_t> blocks(m * arrays * words, 0);
 
   auto build_words = [&](size_t word_begin, size_t word_end) {
-    std::vector<uint64_t> acc(m * n);
-    std::vector<uint64_t> viol(m);
+    std::vector<uint64_t> acc(m * arrays);
     for (size_t w = word_begin; w < word_end; ++w) {
       std::fill(acc.begin(), acc.end(), 0);
-      std::fill(viol.begin(), viol.end(), 0);
       const size_t row_begin = w << 6;
       const size_t row_end = std::min(context_size, row_begin + 64);
       for (size_t row = row_begin; row < row_end; ++row) {
@@ -217,41 +194,72 @@ std::vector<KeyResult> ExplainBatchBitset(const Context& context,
         const Label yr = context.label(row);
         const uint64_t bit = uint64_t{1} << (row - row_begin);
         for (size_t i = 0; i < m; ++i) {
+          uint64_t* item_acc = acc.data() + i * arrays;
+          if (yr != items[i].y) item_acc[0] |= bit;
           const Instance& x0 = items[i].x;
-          uint64_t* item_acc = acc.data() + i * n;
           for (FeatureId f = 0; f < n; ++f) {
-            if (xr[f] == x0[f]) item_acc[f] |= bit;
+            if (xr[f] == x0[f]) item_acc[1 + f] |= bit;
           }
-          if (yr != items[i].y) viol[i] |= bit;
         }
       }
       for (size_t i = 0; i < m; ++i) {
-        for (FeatureId f = 0; f < n; ++f) {
-          agree[i * n + f].mutable_data()[w] = acc[i * n + f];
+        uint64_t* block = blocks.data() + i * arrays * words;
+        for (size_t a = 0; a < arrays; ++a) {
+          block[a * words + w] = acc[i * arrays + a];
         }
-        violators[i].mutable_data()[w] = viol[i];
       }
     }
   };
   constexpr size_t kBuildChunkWords = 1024;  // 64 Ki rows per task
-  if (pool != nullptr && num_words > kBuildChunkWords) {
-    pool->ParallelChunks(num_words, kBuildChunkWords, build_words);
+  if (pool != nullptr && words > kBuildChunkWords) {
+    pool->ParallelChunks(words, kBuildChunkWords, build_words);
     if (stats != nullptr) {
       stats->shard_tasks.fetch_add(
-          (num_words + kBuildChunkWords - 1) / kBuildChunkWords,
+          (words + kBuildChunkWords - 1) / kBuildChunkWords,
           std::memory_order_relaxed);
     }
   } else {
-    build_words(0, num_words);
+    build_words(0, words);
   }
-  // The shared build is the amortization: one bitmap build for the whole
-  // batch, where N serial Explains would have counted N.
+  // One build per call: for a batch that is the amortization — N serial
+  // Explains would have counted N.
   if (stats != nullptr) {
     stats->bitmap_builds.fetch_add(1, std::memory_order_relaxed);
   }
+  return blocks;
+}
 
-  constexpr size_t kFrequencySample = 2048;
-  const size_t sample_rows = std::min(context_size, kFrequencySample);
+/// Item `i`'s block of BuildBlocks' output as the greedy's single part.
+BitsetPart WholeContextPart(std::vector<uint64_t>* blocks, size_t i,
+                            size_t num_features, size_t context_size) {
+  const size_t words = WordsFor(context_size);
+  return BitsetPart{blocks->data() + i * (num_features + 1) * words, words,
+                    std::min(context_size, Srk::kTieBreakSampleRows)};
+}
+
+KeyResult ExplainInstanceBitset(const Context& context, const Instance& x0,
+                                Label y0, const Srk::Options& options,
+                                size_t tolerated) {
+  std::vector<uint64_t> block =
+      BuildBlocks(context, {Srk::BatchItem{x0, y0, options.deadline}},
+                  options.pool, options.stats);
+  const size_t n = context.num_features();
+  return RunBitsetGreedy({WholeContextPart(&block, 0, n, context.size())}, n,
+                         context.size(), tolerated, options.deadline,
+                         options.pool, options.stats);
+}
+
+/// The batched bitset path: one shared build for every item, then each
+/// item's greedy runs serially inside a per-item task.
+std::vector<KeyResult> ExplainBatchBitset(const Context& context,
+                                          const std::vector<Srk::BatchItem>& items,
+                                          const Srk::Options& options,
+                                          size_t tolerated) {
+  const size_t n = context.num_features();
+  const size_t m = items.size();
+  ThreadPool* pool = options.pool;
+  std::vector<uint64_t> blocks =
+      BuildBlocks(context, items, pool, options.stats);
 
   std::vector<KeyResult> results(m);
   // Per-item greedy, fanned across the pool. Each task is fully serial
@@ -259,19 +267,14 @@ std::vector<KeyResult> ExplainBatchBitset(const Context& context,
   // own candidate counting gets no pool here: the keys are unchanged —
   // every compared quantity is an exact popcount either way.
   auto run_item = [&](size_t i) {
-    RowBitmap* item_agree = agree.data() + i * n;
-    std::vector<size_t> value_frequency(n, 0);
-    for (FeatureId f = 0; f < n; ++f) {
-      value_frequency[f] = item_agree[f].CountPrefix(sample_rows);
-    }
-    results[i] = RunBitsetGreedy(n, context_size, tolerated,
-                                 items[i].deadline, item_agree, &violators[i],
-                                 value_frequency, /*pool=*/nullptr, stats);
+    results[i] = RunBitsetGreedy(
+        {WholeContextPart(&blocks, i, n, context.size())}, n, context.size(),
+        tolerated, items[i].deadline, /*pool=*/nullptr, options.stats);
   };
   if (pool != nullptr) {
     pool->ParallelFor(m, run_item);
-    if (stats != nullptr) {
-      stats->shard_tasks.fetch_add(m, std::memory_order_relaxed);
+    if (options.stats != nullptr) {
+      options.stats->shard_tasks.fetch_add(m, std::memory_order_relaxed);
     }
   } else {
     for (size_t i = 0; i < m; ++i) run_item(i);
@@ -314,9 +317,7 @@ Result<std::vector<Srk::SweepPoint>> Srk::SweepTradeoff(
 
   // Same sampled-frequency tie-break as ExplainInstance, so the sweep's
   // pick sequence matches per-alpha Explain calls exactly.
-  constexpr size_t kFrequencySample = 2048;
-  const size_t sample_rows =
-      std::min(context.size(), kFrequencySample);
+  const size_t sample_rows = std::min(context.size(), kTieBreakSampleRows);
   std::vector<size_t> value_frequency(n, 0);
   for (size_t r = 0; r < sample_rows; ++r) {
     for (FeatureId f = 0; f < n; ++f) {
@@ -376,10 +377,7 @@ Result<KeyResult> Srk::ExplainInstance(const Context& context,
 
   const size_t n = context.num_features();
   const size_t context_size = context.size();
-  const double budget =
-      std::floor((1.0 - options.alpha) * static_cast<double>(context_size) +
-                 1e-9);
-  const size_t tolerated = static_cast<size_t>(budget);
+  const size_t tolerated = ViolatorBudget(options.alpha, context_size);
 
   if (options.parallel_conformity) {
     return ExplainInstanceBitset(context, x0, y0, options, tolerated);
@@ -407,8 +405,7 @@ Result<KeyResult> Srk::ExplainInstance(const Context& context,
   // (and hence recall, Section 7.1(c)) high. Algorithm 1 leaves ties open.
   // A fixed-size prefix sample suffices — ties only need approximate
   // frequencies — keeping this pass O(n) amortised for large contexts.
-  constexpr size_t kFrequencySample = 2048;
-  const size_t sample_rows = std::min(context_size, kFrequencySample);
+  const size_t sample_rows = std::min(context_size, kTieBreakSampleRows);
   std::vector<size_t> value_frequency(n, 0);
   for (size_t row = 0; row < sample_rows; ++row) {
     for (FeatureId f = 0; f < n; ++f) {
@@ -524,10 +521,7 @@ Result<std::vector<KeyResult>> Srk::ExplainBatch(
   std::vector<KeyResult> results;
   if (items.empty()) return results;
 
-  const double budget =
-      std::floor((1.0 - options.alpha) * static_cast<double>(context.size()) +
-                 1e-9);
-  const size_t tolerated = static_cast<size_t>(budget);
+  const size_t tolerated = ViolatorBudget(options.alpha, context.size());
 
   if (options.parallel_conformity) {
     return ExplainBatchBitset(context, items, options, tolerated);
@@ -544,6 +538,17 @@ Result<std::vector<KeyResult>> Srk::ExplainBatch(
     results.push_back(std::move(*key));
   }
   return results;
+}
+
+Result<KeyResult> Srk::ExplainParts(const std::vector<BitsetPart>& parts,
+                                    size_t num_features, size_t context_size,
+                                    double alpha, const Deadline& deadline) {
+  if (alpha <= 0.0 || alpha > 1.0) {
+    return Status::InvalidArgument("alpha must be in (0, 1]");
+  }
+  return RunBitsetGreedy(parts, num_features, context_size,
+                         ViolatorBudget(alpha, context_size), deadline,
+                         /*pool=*/nullptr, /*stats=*/nullptr);
 }
 
 }  // namespace cce

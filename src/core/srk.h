@@ -2,7 +2,9 @@
 #define CCE_CORE_SRK_H_
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "common/deadline.h"
 #include "common/status.h"
@@ -22,6 +24,12 @@ class ThreadPool;
 /// most succinct alpha-conformant key. Runs in O(n^2 * |I|) worst case.
 class Srk {
  public:
+  /// Ties between equally good candidates go to the feature whose x0 value
+  /// is most frequent among the context's first kTieBreakSampleRows rows.
+  /// Every engine and the proxy's shard-index read path count the same
+  /// prefix, so they all break ties identically.
+  static constexpr size_t kTieBreakSampleRows = 2048;
+
   /// Counters the bitset engine reports back to the caller (e.g. the proxy's
   /// observability layer). Fields are atomic so a shared instance can absorb
   /// concurrent Explain calls.
@@ -96,6 +104,35 @@ class Srk {
   static Result<std::vector<KeyResult>> ExplainBatch(
       const Context& context, const std::vector<BatchItem>& items,
       const Options& options);
+
+  /// One disjoint slice of a context for one (x0, y0), as the bitset greedy
+  /// reads it. `block` holds n + 1 word arrays of `words` words each, bit i
+  /// of every array standing for the same row:
+  ///
+  ///   block[0 .. words)                      violators: rows labelled != y0
+  ///   block[(1 + f) * words .. (2 + f) * words)  rows agreeing with x0 on f
+  ///
+  /// Bits of non-rows (padding, evicted rows) must be clear in the violator
+  /// array; the agreement arrays may carry them only outside
+  /// [0, sample_bits). The greedy narrows the violator array in place.
+  struct BitsetPart {
+    uint64_t* block = nullptr;
+    size_t words = 0;
+    /// Bits [0, sample_bits) are this slice's share of the context's first
+    /// kTieBreakSampleRows rows (the tie-break sample).
+    size_t sample_bits = 0;
+  };
+
+  /// The bitset greedy over a context held as disjoint parts (e.g. the
+  /// proxy's per-shard indexes): candidate counts and tie-break
+  /// frequencies are sums over the parts, so the key is bit-identical to
+  /// ExplainInstance over the merged context of `context_size` rows.
+  /// ExplainInstance/ExplainBatch with parallel_conformity run this same
+  /// greedy on one part. The deadline is checked between greedy rounds.
+  static Result<KeyResult> ExplainParts(const std::vector<BitsetPart>& parts,
+                                        size_t num_features,
+                                        size_t context_size, double alpha,
+                                        const Deadline& deadline);
 
   /// One point of the conformity-succinctness trade-off curve.
   struct SweepPoint {

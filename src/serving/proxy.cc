@@ -5,6 +5,7 @@
 #include <thread>
 #include <utility>
 
+#include "core/srk.h"
 #include "io/atomic_file.h"
 #include "serving/read_path.h"
 #include "serving/shard_layout.h"
@@ -38,6 +39,76 @@ const char* BreakerStateLabel(CircuitBreaker::State state) {
   return "unknown";
 }
 
+/// What the key searches of one request read from the shard indexes.
+struct IndexRead {
+  /// Every shard's Srk::BitsetPart blocks, back to back.
+  std::vector<uint64_t> words;
+  std::vector<ContextShard::IndexSlices> slices;  // per shard
+  /// Per shard: sequence numbers of its first window rows, then (after the
+  /// merge) how many of them fall in the context's tie-break sample.
+  std::vector<std::vector<uint64_t>> head_seqs;
+  std::vector<size_t> head_share;
+  size_t rows = 0;
+};
+
+/// The calling thread's IndexRead, reused across requests so a read
+/// allocates nothing once its buffers have grown to the window.
+IndexRead& ThreadIndexRead() {
+  thread_local IndexRead read;
+  return read;
+}
+
+/// Copies every shard's index slice for `queries`, one shard lock at a
+/// time, then merges the shard heads by sequence number: the context's
+/// first Srk::kTieBreakSampleRows rows are exactly the union of each
+/// shard's first head_share[s] rows, because every shard window is in
+/// sequence order.
+void ReadShardIndexes(const std::vector<std::unique_ptr<ContextShard>>& shards,
+                      const std::vector<ContextShard::SliceQuery>& queries,
+                      IndexRead* read) {
+  const size_t num_shards = shards.size();
+  read->words.clear();
+  read->slices.resize(num_shards);
+  read->head_seqs.resize(num_shards);
+  read->rows = 0;
+  for (size_t s = 0; s < num_shards; ++s) {
+    read->slices[s] = shards[s]->ReadIndex(queries, Srk::kTieBreakSampleRows,
+                                           &read->words, &read->head_seqs[s]);
+    read->rows += read->slices[s].rows;
+  }
+  read->head_share.assign(num_shards, 0);
+  const size_t sample = std::min(read->rows, Srk::kTieBreakSampleRows);
+  for (size_t taken = 0; taken < sample; ++taken) {
+    size_t oldest = num_shards;
+    for (size_t s = 0; s < num_shards; ++s) {
+      const std::vector<uint64_t>& head = read->head_seqs[s];
+      if (read->head_share[s] == head.size()) continue;
+      if (oldest == num_shards ||
+          head[read->head_share[s]] <
+              read->head_seqs[oldest][read->head_share[oldest]]) {
+        oldest = s;
+      }
+    }
+    ++read->head_share[oldest];
+  }
+}
+
+/// Query `q`'s key: one greedy over every non-empty shard's part.
+Result<KeyResult> SearchIndex(IndexRead* read, size_t q, size_t num_features,
+                              double alpha, const Deadline& deadline) {
+  std::vector<Srk::BitsetPart> parts;
+  parts.reserve(read->slices.size());
+  for (size_t s = 0; s < read->slices.size(); ++s) {
+    const ContextShard::IndexSlices& slices = read->slices[s];
+    if (slices.words == 0) continue;
+    parts.push_back(Srk::BitsetPart{
+        read->words.data() + slices.offset +
+            q * (num_features + 1) * slices.words,
+        slices.words, slices.first_bit + read->head_share[s]});
+  }
+  return Srk::ExplainParts(parts, num_features, read->rows, alpha, deadline);
+}
+
 }  // namespace
 
 ExplainableProxy::ExplainableProxy(std::shared_ptr<const Schema> schema,
@@ -68,15 +139,6 @@ ExplainableProxy::ExplainableProxy(std::shared_ptr<const Schema> schema,
         options_.observability.trace_capacity, registry_->clock());
   }
   InitInstruments();
-  if (options_.parallel_conformity && options_.conformity_threads != 1) {
-    // A 1-thread pool is strictly worse than no pool (the caller blocks in
-    // Wait() while one worker does serial work plus dispatch overhead), so
-    // conformity_threads == 1 runs the bitset engine serially instead.
-    conformity_pool_ =
-        std::make_unique<ThreadPool>(options_.conformity_threads);
-    conformity_pool_gauges_ = std::make_unique<obs::ThreadPoolGauges>(
-        registry_.get(), conformity_pool_.get(), "conformity");
-  }
   if (options_.overload.enabled) {
     overload_ =
         std::make_unique<OverloadController>(options_.overload,
@@ -126,11 +188,11 @@ void ExplainableProxy::InitInstruments() {
                      "Explains answered from the explanation cache.");
   ins_.batch_executions = reg.GetCounter(
       "cce_batch_executions_total",
-      "ExplainBatch() calls that ran a shared-build key search (one fused "
-      "bitmap build amortized across every item in the batch).");
+      "ExplainBatch() calls that ran a shared key search (one read of the "
+      "shard indexes amortized across every item in the batch).");
   ins_.batch_items = reg.GetCounter(
       "cce_batch_items_total",
-      "Explain items answered through ExplainBatch() shared builds.");
+      "Explain items answered through ExplainBatch() shared searches.");
   ins_.fallback_serves = reg.GetCounter(
       "cce_fallback_serves_total",
       "Explain/Counterfactuals served from context while the breaker was "
@@ -179,12 +241,8 @@ void ExplainableProxy::InitInstruments() {
       "Orphaned *.tmp files swept from the durability dir at startup.");
   ins_.bitmap_rebuilds = reg.GetCounter(
       "cce_bitmap_rebuilds_total",
-      "Full conformity-bitmap builds by the bitset engine (one per "
-      "bitset-path Explain).");
-  ins_.conformity_shards = reg.GetCounter(
-      "cce_conformity_shards_total",
-      "Work items dispatched to the conformity pool by the bitset engine "
-      "(shard fanout).");
+      "Conformity-bitmap index work: leader shard-index compactions plus "
+      "replica per-request builds.");
   ins_.context_window_size = reg.GetGauge(
       "cce_context_window_size",
       "Pairs currently in the rolling context (all shards).");
@@ -262,6 +320,7 @@ void ExplainableProxy::InitInstruments() {
     cells.agg_records_recovered = ins_.wal_records_recovered;
     cells.agg_records_dropped = ins_.wal_records_dropped;
     cells.compaction_failures = ins_.compaction_failures;
+    cells.index_compactions = ins_.bitmap_rebuilds;
     cells.wal_append_us = ins_.wal_append_us;
     cells.registry = registry_.get();
   }
@@ -542,16 +601,6 @@ Context ExplainableProxy::MergedContext() const {
   return MaterializeContext(schema_, MergedRows());
 }
 
-ReadPath ExplainableProxy::ExplainReadPath() const {
-  ReadPath path;
-  path.alpha = options_.alpha;
-  path.parallel_conformity = options_.parallel_conformity;
-  path.pool = conformity_pool_.get();
-  path.bitmap_rebuilds = ins_.bitmap_rebuilds;
-  path.conformity_shards = ins_.conformity_shards;
-  return path;
-}
-
 uint64_t ExplainableProxy::PublishedSequence() const {
   // Freeze every shard at once (ascending index; the only multi-shard
   // lock acquisition in the proxy, so no ordering cycle is possible).
@@ -738,11 +787,11 @@ Result<KeyResult> ExplainableProxy::Explain(const Instance& x, Label y,
     }
     permit.emplace(std::move(admitted).value());
   }
-  Context context(schema_);
+  IndexRead& read = ThreadIndexRead();
   uint64_t cache_stamp = 0;
   bool degraded_context = false;
   {
-    auto span = trace.Phase("snapshot");
+    auto span = trace.Phase("index");
     {
       std::lock_guard<std::mutex> lock(mu_);
       // Explaining consults only the recorded context (paper Section 6),
@@ -763,30 +812,26 @@ Result<KeyResult> ExplainableProxy::Explain(const Instance& x, Label y,
         }
       }
     }
-    // Stamp the delta ring *before* merging: any Record that lands
-    // between this read and the merge advances the ring past the stamp,
-    // and Put() refuses entries whose window membership is ambiguous —
-    // the cache's exactness gate.
+    // Stamp the delta ring *before* reading: any Record that lands
+    // between this read and the index copy advances the ring past the
+    // stamp, and Put() refuses entries whose window membership is
+    // ambiguous — the cache's exactness gate.
     if (explain_cache_ != nullptr) cache_stamp = explain_cache_->delta_seq();
-    // Merge the shard windows by global sequence number: exact arrival
-    // order, so the key search sees the same context a 1-shard proxy
-    // would and returns bit-identical keys.
-    context = MergedContext();
+    ReadShardIndexes(shards_, {ContextShard::SliceQuery{&x, y}}, &read);
     degraded_context = AnyShardQuarantined();
-    if (context.size() == 0) {
+    if (read.rows == 0) {
       Status status =
           Status::FailedPrecondition("no predictions recorded yet");
       FinishTrace(trace, Op::kExplain, obs::TraceOutcome::kError, &status);
       return status;
     }
   }
-  // The key search runs on the copy, outside every lock: a slow Explain
-  // never stalls Predict/Record traffic. The configuration is assembled
-  // by the shared read path so a read replica searching the same rows
-  // computes the bit-identical key.
+  // The greedy runs on the copied slices, outside every lock: a slow
+  // Explain never stalls Predict/Record traffic.
   Result<KeyResult> key = [&] {
     auto span = trace.Phase("search");
-    return SearchKey(context, x, y, deadline, ExplainReadPath());
+    return SearchIndex(&read, 0, schema_->num_features(), options_.alpha,
+                       deadline);
   }();
   if (!key.ok()) {
     FinishTrace(trace, Op::kExplain, obs::TraceOutcome::kError,
@@ -808,7 +853,7 @@ Result<KeyResult> ExplainableProxy::Explain(const Instance& x, Label y,
       // Only full (minimised) keys are worth caching: a padded degraded
       // key served from cache would degrade answers even when idle.
       std::lock_guard<std::mutex> lock(mu_);
-      explain_cache_->Put(x, y, cache_stamp, context.size(), *key);
+      explain_cache_->Put(x, y, cache_stamp, read.rows, *key);
     }
     FinishTrace(trace, Op::kExplain, obs::TraceOutcome::kServedFull);
   }
@@ -894,13 +939,13 @@ std::vector<Result<KeyResult>> ExplainableProxy::ExplainBatch(
     }
     permit.emplace(std::move(admitted).value());
   }
-  Context context(schema_);
+  IndexRead& read = ThreadIndexRead();
   uint64_t cache_stamp = 0;
   bool degraded_context = false;
   std::vector<size_t> pending;
   pending.reserve(live.size());
   {
-    auto span = trace.Phase("snapshot");
+    auto span = trace.Phase("index");
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (breaker_.state() == CircuitBreaker::State::kOpen) {
@@ -920,9 +965,13 @@ std::vector<Result<KeyResult>> ExplainableProxy::ExplainBatch(
       return results;
     }
     if (explain_cache_ != nullptr) cache_stamp = explain_cache_->delta_seq();
-    context = MergedContext();
+    // One pass over the shards copies every pending item's slice.
+    std::vector<ContextShard::SliceQuery> queries;
+    queries.reserve(pending.size());
+    for (size_t i : pending) queries.push_back({&items[i].x, items[i].y});
+    ReadShardIndexes(shards_, queries, &read);
     degraded_context = AnyShardQuarantined();
-    if (context.size() == 0) {
+    if (read.rows == 0) {
       Status status =
           Status::FailedPrecondition("no predictions recorded yet");
       for (size_t i : pending) {
@@ -933,28 +982,29 @@ std::vector<Result<KeyResult>> ExplainableProxy::ExplainBatch(
       return results;
     }
   }
-  std::vector<BatchQuery> batch;
-  batch.reserve(pending.size());
-  for (size_t i : pending) batch.push_back(items[i]);
-  Result<std::vector<KeyResult>> keys = [&] {
+  std::vector<Result<KeyResult>> keys;
+  keys.reserve(pending.size());
+  {
     auto span = trace.Phase("search");
-    return SearchKeyBatch(context, batch, ExplainReadPath());
-  }();
-  if (!keys.ok()) {
-    for (size_t i : pending) {
-      count_item(obs::TraceOutcome::kError);
-      results[i] = keys.status();
+    for (size_t j = 0; j < pending.size(); ++j) {
+      keys.push_back(SearchIndex(&read, j, schema_->num_features(),
+                                 options_.alpha, items[pending[j]].deadline));
     }
-    trace.set_outcome(obs::TraceOutcome::kError);
-    return results;
   }
   ins_.batch_executions->Increment();
   ins_.batch_items->Add(pending.size());
   bool any_degraded = false;
+  bool any_failed = false;
   std::lock_guard<std::mutex> lock(mu_);
   for (size_t j = 0; j < pending.size(); ++j) {
     const size_t i = pending[j];
-    KeyResult key = std::move((*keys)[j]);
+    if (!keys[j].ok()) {
+      any_failed = true;
+      count_item(obs::TraceOutcome::kError);
+      results[i] = keys[j].status();
+      continue;
+    }
+    KeyResult key = std::move(keys[j]).value();
     const bool deadline_degraded = key.degraded;
     if (degraded_context) key.degraded = true;
     if (key.degraded) {
@@ -964,15 +1014,16 @@ std::vector<Result<KeyResult>> ExplainableProxy::ExplainBatch(
       count_item(obs::TraceOutcome::kDegraded);
     } else {
       if (explain_cache_ != nullptr) {
-        explain_cache_->Put(items[i].x, items[i].y, cache_stamp,
-                            context.size(), key);
+        explain_cache_->Put(items[i].x, items[i].y, cache_stamp, read.rows,
+                            key);
       }
       count_item(obs::TraceOutcome::kServedFull);
     }
     results[i] = std::move(key);
   }
-  trace.set_outcome(any_degraded ? obs::TraceOutcome::kDegraded
-                                 : obs::TraceOutcome::kServedFull);
+  trace.set_outcome(any_failed     ? obs::TraceOutcome::kError
+                    : any_degraded ? obs::TraceOutcome::kDegraded
+                                   : obs::TraceOutcome::kServedFull);
   return results;
 }
 
@@ -1095,6 +1146,7 @@ HealthSnapshot ExplainableProxy::Health() const {
     health.index = i;
     health.state = shard.state();
     health.window_rows = shard.window_size();
+    health.index_bytes = shard.index_bytes();
     health.total_recorded = shard.total_recorded();
     health.wal_poisoned = shard.wal_poisoned();
     health.quarantine_reason = shard.quarantine_reason();

@@ -12,7 +12,6 @@
 #include "common/deadline.h"
 #include "common/random.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "core/cce.h"
 #include "core/counterfactual.h"
 #include "core/dataset.h"
@@ -88,15 +87,23 @@ namespace cce::serving {
 /// and RepairShard() re-admits the shard on a fresh generation. A shard
 /// whose fsync fails goes read-only (its WAL is poisoned; no append may
 /// claim durability on top of possibly-dropped pages) until compaction
-/// rewrites the log. Rows carry a proxy-global sequence number and Explain
-/// merges shard windows by it, so keys are bit-identical to a 1-shard
-/// proxy.
+/// rewrites the log. Rows carry a proxy-global sequence number, so keys are
+/// bit-identical to a 1-shard proxy.
+///
+/// Explain reads each shard's persistent bitset index instead of a context
+/// copy (docs/algorithms.md "The shard-index read path"): under each shard
+/// lock in turn it copies only x0's slice — the violator words and one
+/// agreement array per feature — plus the sequence numbers of the shard's
+/// first rows, then runs one SRK greedy over the per-shard parts outside
+/// every lock. Counts add across disjoint shards and the tie-break sample
+/// is merged by sequence, so keys equal Srk::ExplainInstance on
+/// ContextSnapshot() bit for bit.
 ///
 /// Thread safety: all public methods may be called concurrently. Predict
 /// is serialised by an internal mutex (the breaker counts consecutive
 /// *operations*, which only means anything serialised); Record takes only
-/// its target shard's lock; Explain and Counterfactuals copy the context
-/// under the shard locks and run the key search outside them, so slow
+/// its target shard's lock; Explain and Counterfactuals copy what they
+/// need under the shard locks and search outside them, so slow
 /// explanations never block recording.
 class ExplainableProxy {
  public:
@@ -113,18 +120,6 @@ class ExplainableProxy {
     /// different shard count is adopted: rows from orphan shard files are
     /// re-routed by hash and re-logged, then the orphans are deleted.
     size_t shards = 1;
-    /// Selects the blocked-bitset conformity engine for Explain's key
-    /// search (docs/algorithms.md): violator counting becomes word-AND +
-    /// popcount sharded across a proxy-owned pool. Keys are bit-identical
-    /// to the serial engine; only latency changes. Adds the
-    /// cce_bitmap_rebuilds_total / cce_conformity_shards_total counters'
-    /// traffic and thread-pool gauges labelled pool="conformity".
-    bool parallel_conformity = false;
-    /// Worker threads for the conformity pool; 0 = hardware concurrency,
-    /// 1 = run the bitset engine serially with no pool at all (a 1-thread
-    /// pool only adds dispatch overhead). Read only when
-    /// parallel_conformity is set.
-    size_t conformity_threads = 0;
     /// Enable the succinctness-based drift monitor (one per shard; with
     /// shards = 1 this is exactly the classic monitor).
     bool monitor_drift = true;
@@ -235,13 +230,12 @@ class ExplainableProxy {
                             const Deadline& deadline = {}) const;
 
   /// Explains a batch of recorded (instance, prediction) pairs against ONE
-  /// context snapshot, sharing the bitmap build across all items (the
-  /// amortization: one row-major pass over the window instead of one per
-  /// request). Results are positional — result i answers items[i] — and
-  /// every key is bit-identical to what a serial Explain of that item
-  /// against the same snapshot would return, at any pool width and any
-  /// batch split. Admission is charged once for the whole batch (a shared
-  /// build is one expensive-work unit); per-item deadlines still apply
+  /// read of the shard indexes, taking each shard lock once for every
+  /// item's slice. Results are positional — result i answers items[i] —
+  /// and every key is bit-identical to what a serial Explain of that item
+  /// against the same window would return, at any batch split. Admission
+  /// is charged once for the whole batch (one shared read is one
+  /// expensive-work unit); per-item deadlines still apply
   /// individually inside the key search, so one slow item degrades only
   /// itself. On shed, items are answered from the explain cache where a
   /// generation-fresh entry exists and shed individually otherwise.
@@ -351,12 +345,8 @@ class ExplainableProxy {
   /// All shard rows merged into global arrival order.
   std::vector<ContextShard::Row> MergedRows() const;
 
-  /// MergedRows as a Dataset (the Explain/Counterfactuals context copy).
+  /// MergedRows as a Dataset (the ContextSnapshot/Counterfactuals copy).
   Context MergedContext() const;
-
-  /// The proxy's key-search configuration as a shared ReadPath (replicas
-  /// build the same structure, which is the bit-identical-keys contract).
-  ReadPath ExplainReadPath() const;
 
   /// True when any shard is quarantined (Explain's degraded-context flag).
   bool AnyShardQuarantined() const;
@@ -406,15 +396,6 @@ class ExplainableProxy {
   /// Recent-request ring; null when tracing is disabled.
   std::unique_ptr<obs::TraceRing> traces_;
 
-  /// Bitset-engine worker pool; null unless Options::parallel_conformity
-  /// (or when conformity_threads == 1: serial bitset, no pool). Shared by
-  /// concurrent Explain calls (each call's tasks only touch that call's
-  /// buffers). Declared after registry_ and before its gauges so on
-  /// destruction the gauges unbind first, while the registry and the pool
-  /// they reference are both still alive.
-  std::unique_ptr<ThreadPool> conformity_pool_;
-  std::unique_ptr<obs::ThreadPoolGauges> conformity_pool_gauges_;
-
   /// Raw metric cells (owned by registry_; cached here so the hot path is
   /// one pointer chase + one sharded atomic op). Created in
   /// InitInstruments; the mutable ones are written from const entry points
@@ -444,7 +425,6 @@ class ExplainableProxy {
     obs::Counter* quarantine_drops = nullptr;
     obs::Counter* tmp_orphans_removed = nullptr;
     obs::Counter* bitmap_rebuilds = nullptr;
-    obs::Counter* conformity_shards = nullptr;
     obs::Gauge* context_window_size = nullptr;
     obs::Gauge* recorded_pairs = nullptr;
     obs::Gauge* context_degraded = nullptr;

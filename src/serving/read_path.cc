@@ -42,39 +42,6 @@ Result<KeyResult> SearchKey(const Context& context, const Instance& x,
   return key;
 }
 
-Result<std::vector<KeyResult>> SearchKeyBatch(
-    const Context& context, const std::vector<BatchQuery>& items,
-    const ReadPath& path) {
-  Srk::Options options;
-  options.alpha = path.alpha;
-  Srk::EngineStats engine_stats;
-  if (path.parallel_conformity) {
-    options.parallel_conformity = true;
-    options.pool = path.pool;
-    options.stats = &engine_stats;
-  }
-  std::vector<Srk::BatchItem> batch;
-  batch.reserve(items.size());
-  for (const BatchQuery& item : items) {
-    batch.push_back(Srk::BatchItem{item.x, item.y, item.deadline});
-  }
-  Result<std::vector<KeyResult>> keys =
-      Srk::ExplainBatch(context, batch, options);
-  if (path.parallel_conformity) {
-    const uint64_t builds =
-        engine_stats.bitmap_builds.load(std::memory_order_relaxed);
-    if (builds > 0 && path.bitmap_rebuilds != nullptr) {
-      path.bitmap_rebuilds->Add(builds);
-    }
-    const uint64_t shards =
-        engine_stats.shard_tasks.load(std::memory_order_relaxed);
-    if (shards > 0 && path.conformity_shards != nullptr) {
-      path.conformity_shards->Add(shards);
-    }
-  }
-  return keys;
-}
-
 Result<std::vector<RelativeCounterfactual>> SearchCounterfactuals(
     const Context& context, const Instance& x, Label y) {
   return CounterfactualFinder::FindForInstance(context, x, y, {});

@@ -16,11 +16,12 @@
 
 namespace cce::serving {
 
-/// The one explanation read path, shared by the leader proxy and its read
-/// replicas. Both sides materialize a sequence-ordered row view into a
-/// Context and run the identical SRK search configuration through these
-/// helpers — which is what makes a caught-up replica's keys bit-identical
-/// to the leader's, not merely equivalent.
+/// The materialized explanation read path of read replicas: a
+/// sequence-ordered row view becomes a Context, searched by Srk. The leader
+/// proxy reads its shard indexes instead (docs/algorithms.md "The
+/// shard-index read path"); both run the same greedy on exact integer
+/// counts, which is what makes a caught-up replica's keys bit-identical to
+/// the leader's, not merely equivalent.
 struct ReadPath {
   /// Conformity bound for the key search.
   double alpha = 1.0;
@@ -52,13 +53,6 @@ struct BatchQuery {
   Label y = 0;
   Deadline deadline;
 };
-
-/// Batched SearchKey: every item is scored against one shared bitmap build
-/// over `context` (Srk::ExplainBatch), with keys bit-identical to running
-/// SearchKey per item. Results are positional: result i answers item i.
-Result<std::vector<KeyResult>> SearchKeyBatch(
-    const Context& context, const std::vector<BatchQuery>& items,
-    const ReadPath& path);
 
 /// Closest counterfactual witnesses for (x, y) against `context`.
 Result<std::vector<RelativeCounterfactual>> SearchCounterfactuals(

@@ -199,6 +199,8 @@ struct HealthSnapshot {
     size_t index = 0;
     ContextShard::State state = ContextShard::State::kActive;
     size_t window_rows = 0;
+    /// Heap bytes of the shard's bitset index.
+    size_t index_bytes = 0;
     uint64_t total_recorded = 0;
     /// True while the shard's WAL refuses appends after a failed fsync.
     bool wal_poisoned = false;

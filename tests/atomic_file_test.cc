@@ -1,6 +1,5 @@
 #include "io/atomic_file.h"
 
-#include <cstdio>
 #include <fstream>
 #include <ostream>
 #include <sstream>
@@ -12,6 +11,7 @@
 #include "common/logging.h"
 #include "io/env.h"
 #include "io/fault_env.h"
+#include "tests/test_util.h"
 
 namespace cce::io {
 namespace {
@@ -21,58 +21,6 @@ std::string ReadAll(const std::string& path) {
   std::stringstream buffer;
   buffer << in.rdbuf();
   return buffer.str();
-}
-
-TEST(AtomicFileTest, WritesNewFile) {
-  const std::string path = ::testing::TempDir() + "/atomic_new.txt";
-  std::remove(path.c_str());
-  CCE_CHECK_OK(AtomicWriteFile(path, [](std::ostream* out) {
-    *out << "hello\n";
-    return Status::Ok();
-  }));
-  EXPECT_EQ(ReadAll(path), "hello\n");
-  std::remove(path.c_str());
-}
-
-TEST(AtomicFileTest, ReplacesExistingContentAtomically) {
-  const std::string path = ::testing::TempDir() + "/atomic_replace.txt";
-  CCE_CHECK_OK(AtomicWriteFile(path, [](std::ostream* out) {
-    *out << "old";
-    return Status::Ok();
-  }));
-  CCE_CHECK_OK(AtomicWriteFile(path, [](std::ostream* out) {
-    *out << "new content";
-    return Status::Ok();
-  }));
-  EXPECT_EQ(ReadAll(path), "new content");
-  std::remove(path.c_str());
-}
-
-TEST(AtomicFileTest, WriterErrorLeavesOriginalIntactAndNoTempBehind) {
-  const std::string path = ::testing::TempDir() + "/atomic_failed.txt";
-  CCE_CHECK_OK(AtomicWriteFile(path, [](std::ostream* out) {
-    *out << "precious";
-    return Status::Ok();
-  }));
-  Status failed = AtomicWriteFile(path, [](std::ostream* out) {
-    *out << "half-writ";
-    return Status::IoError("simulated mid-write failure");
-  });
-  EXPECT_EQ(failed.code(), StatusCode::kIoError);
-  EXPECT_EQ(ReadAll(path), "precious")
-      << "a failed rewrite must not touch the target";
-  // The temp file must have been cleaned up.
-  EXPECT_FALSE(std::ifstream(path + ".tmp.0").good());
-  std::remove(path.c_str());
-}
-
-TEST(AtomicFileTest, UnwritableDirectoryFails) {
-  Status failed = AtomicWriteFile("/no/such/dir/file.txt",
-                                  [](std::ostream* out) {
-                                    *out << "x";
-                                    return Status::Ok();
-                                  });
-  EXPECT_EQ(failed.code(), StatusCode::kIoError);
 }
 
 /// Counts files in `dir` whose names match the atomic temp pattern.
@@ -86,23 +34,69 @@ size_t CountTmpOrphans(const std::string& dir) {
   return orphans;
 }
 
+TEST(AtomicFileTest, WritesNewFile) {
+  cce::testing::ScopedTestDir dir;
+  const std::string path = dir.File("atomic_new.txt");
+  CCE_CHECK_OK(AtomicWriteFile(path, [](std::ostream* out) {
+    *out << "hello\n";
+    return Status::Ok();
+  }));
+  EXPECT_EQ(ReadAll(path), "hello\n");
+}
+
+TEST(AtomicFileTest, ReplacesExistingContentAtomically) {
+  cce::testing::ScopedTestDir dir;
+  const std::string path = dir.File("atomic_replace.txt");
+  CCE_CHECK_OK(AtomicWriteFile(path, [](std::ostream* out) {
+    *out << "old";
+    return Status::Ok();
+  }));
+  CCE_CHECK_OK(AtomicWriteFile(path, [](std::ostream* out) {
+    *out << "new content";
+    return Status::Ok();
+  }));
+  EXPECT_EQ(ReadAll(path), "new content");
+}
+
+TEST(AtomicFileTest, WriterErrorLeavesOriginalIntactAndNoTempBehind) {
+  cce::testing::ScopedTestDir dir;
+  const std::string path = dir.File("atomic_failed.txt");
+  CCE_CHECK_OK(AtomicWriteFile(path, [](std::ostream* out) {
+    *out << "precious";
+    return Status::Ok();
+  }));
+  Status failed = AtomicWriteFile(path, [](std::ostream* out) {
+    *out << "half-writ";
+    return Status::IoError("simulated mid-write failure");
+  });
+  EXPECT_EQ(failed.code(), StatusCode::kIoError);
+  EXPECT_EQ(ReadAll(path), "precious")
+      << "a failed rewrite must not touch the target";
+  // The temp file must have been cleaned up.
+  EXPECT_EQ(CountTmpOrphans(dir.path()), 0u);
+}
+
+TEST(AtomicFileTest, UnwritableDirectoryFails) {
+  Status failed = AtomicWriteFile("/no/such/dir/file.txt",
+                                  [](std::ostream* out) {
+                                    *out << "x";
+                                    return Status::Ok();
+                                  });
+  EXPECT_EQ(failed.code(), StatusCode::kIoError);
+}
+
 class AtomicFileFaultTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "/atomic_fault_test";
-    CCE_CHECK_OK(EnsureDirectory(dir_));
-    std::vector<std::string> names;
-    CCE_CHECK_OK(Env::Default()->ListDir(dir_, &names));
-    for (const std::string& name : names) {
-      CCE_CHECK_OK(Env::Default()->RemoveFile(dir_ + "/" + name));
-    }
-    path_ = dir_ + "/target.bin";
+    dir_ = scoped_dir_.path();
+    path_ = scoped_dir_.File("target.bin");
     CCE_CHECK_OK(AtomicWriteFile(path_, [](std::ostream* out) {
       *out << "previous generation";
       return Status::Ok();
     }));
   }
 
+  cce::testing::ScopedTestDir scoped_dir_;
   std::string dir_;
   std::string path_;
 };
@@ -164,7 +158,8 @@ TEST(IsAtomicTempNameTest, MatchesOnlyTheTempPattern) {
 }
 
 TEST(EnsureDirectoryTest, CreatesOnceAndIsIdempotent) {
-  const std::string dir = ::testing::TempDir() + "/atomic_mkdir_test";
+  cce::testing::ScopedTestDir scoped;
+  const std::string dir = scoped.File("mkdir");
   CCE_CHECK_OK(EnsureDirectory(dir));
   CCE_CHECK_OK(EnsureDirectory(dir));
   // A file with the same name is rejected.
@@ -174,7 +169,6 @@ TEST(EnsureDirectoryTest, CreatesOnceAndIsIdempotent) {
     return Status::Ok();
   }));
   EXPECT_EQ(EnsureDirectory(file).code(), StatusCode::kIoError);
-  std::remove(file.c_str());
 }
 
 TEST(EnsureDirectoryTest, RejectsEmptyPath) {

@@ -180,20 +180,32 @@ TEST(BitsetParityTest, IncrementalMaintenanceMatchesRebuild) {
   for (size_t row = 100; row < 400; ++row) live_rows_list.push_back(row);
   Dataset window = full.Subset(live_rows_list);
   ConformityChecker reference(&window);
-  Rng rng(12);
-  for (int q = 0; q < 40; ++q) {
-    Instance x0 = full.instance(rng.Uniform(full.size()));
-    const Label y0 = static_cast<Label>(rng.Uniform(2));
-    FeatureSet e;
-    for (FeatureId f = 0; f < 6; ++f) {
-      if (rng.Bernoulli(0.4)) e.push_back(f);
+  // Window row i is bitset row id `first_id + i`.
+  auto expect_parity = [&](size_t first_id, const std::string& phase) {
+    Rng rng(12);
+    for (int q = 0; q < 40; ++q) {
+      Instance x0 = full.instance(rng.Uniform(full.size()));
+      const Label y0 = static_cast<Label>(rng.Uniform(2));
+      FeatureSet e;
+      for (FeatureId f = 0; f < 6; ++f) {
+        if (rng.Bernoulli(0.4)) e.push_back(f);
+      }
+      EXPECT_EQ(bitset.CountViolators(x0, y0, e),
+                reference.CountViolators(x0, y0, e))
+          << phase << " query " << q;
+      EXPECT_EQ(bitset.Precision(x0, y0, e), reference.Precision(x0, y0, e));
+      EXPECT_EQ(bitset.ViolatorBudget(0.9), reference.ViolatorBudget(0.9));
+      std::vector<size_t> rows = bitset.AgreeingRows(x0, e);
+      for (size_t& row : rows) row -= first_id;
+      EXPECT_EQ(rows, reference.AgreeingRows(x0, e)) << phase << " query " << q;
     }
-    EXPECT_EQ(bitset.CountViolators(x0, y0, e),
-              reference.CountViolators(x0, y0, e))
-        << "query " << q;
-    EXPECT_EQ(bitset.Precision(x0, y0, e), reference.Precision(x0, y0, e));
-    EXPECT_EQ(bitset.ViolatorBudget(0.9), reference.ViolatorBudget(0.9));
-  }
+  };
+  expect_parity(100, "slid");
+  // Reclaim the first 64 (removed) ids: every later id moves down by 64.
+  bitset.DropLeadingWords(1);
+  EXPECT_EQ(bitset.live_rows(), 300u);
+  EXPECT_EQ(bitset.allocated_rows(), 336u);
+  expect_parity(36, "compacted");
 }
 
 // ----------------------------------------- key equivalence: SRK/OSRK/SSRK

@@ -8,8 +8,10 @@
 #include "net/server.h"
 
 #include <chrono>
+#include <condition_variable>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -38,8 +40,40 @@ class ParityModel : public Model {
   }
 };
 
+/// A parity endpoint whose Predict blocks until Release(): it holds a
+/// server worker for exactly as long as a test needs, so queueing
+/// outcomes do not depend on how fast the host runs.
+class GatedEndpoint : public serving::ModelEndpoint {
+ public:
+  Result<Label> Predict(const Instance& x) override {
+    std::unique_lock<std::mutex> lock(mu_);
+    entered_ = true;
+    cv_.notify_all();
+    cv_.wait(lock, [this] { return released_; });
+    return x.empty() ? 0 : x[0] % 2;
+  }
+
+  void WaitEntered() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return entered_; });
+  }
+
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool entered_ = false;
+  bool released_ = false;
+};
+
 /// A leader-only serving group with a primed context behind a NetServer
-/// on an ephemeral loopback port.
+/// on an ephemeral loopback port. Predicts go to `endpoint` when one is
+/// given, else to the parity model.
 struct NetStack {
   Dataset data;
   ParityModel model;
@@ -47,12 +81,17 @@ struct NetStack {
   std::unique_ptr<ServingGroup> group;
   std::unique_ptr<NetServer> server;
 
-  explicit NetStack(NetServer::Options options = {}, size_t rows = 120)
+  explicit NetStack(NetServer::Options options = {}, size_t rows = 120,
+                    serving::ModelEndpoint* endpoint = nullptr)
       : data(cce::testing::RandomContext(200, 4, 3, 11, /*noise=*/0.0)) {
     ExplainableProxy::Options proxy_options;
     proxy_options.monitor_drift = false;
     auto proxy_or =
-        ExplainableProxy::Create(data.schema_ptr(), &model, proxy_options);
+        endpoint != nullptr
+            ? ExplainableProxy::CreateWithEndpoint(data.schema_ptr(),
+                                                   endpoint, proxy_options)
+            : ExplainableProxy::Create(data.schema_ptr(), &model,
+                                       proxy_options);
     CCE_CHECK_OK(proxy_or.status());
     proxy = std::move(proxy_or).value();
     for (size_t i = 0; i < rows; ++i) {
@@ -242,27 +281,46 @@ TEST(NetServerTest, DeadlineFloodProducesDeadlineResponses) {
   // flood within its deadlines (BatchedFloodMeetsDeadlines below), so the
   // per-request expiry behaviour needs batching off to surface.
   options.max_explain_batch = 1;
-  NetStack stack(options);
+  GatedEndpoint gate;
+  NetStack stack(options, /*rows=*/120, &gate);
   NetClient client = stack.Connect();
+  // Occupy the only worker with a Predict held at the gate: the flood
+  // queues behind it, so every 1 ms budget runs out before a worker can
+  // take the request, however fast the host searches.
+  constexpr uint64_t kPredictId = 1000;
+  ASSERT_TRUE(
+      client.Send(stack.MakeRequest(MessageType::kPredictRequest, kPredictId,
+                                    /*row=*/0))
+          .ok());
+  gate.WaitEntered();
   constexpr size_t kBatch = 48;
   for (size_t i = 0; i < kBatch; ++i) {
     Request request =
         stack.MakeRequest(MessageType::kExplainRequest, i, i % 100);
-    request.deadline_ms = 1;  // nearly always expired by execution time
+    request.deadline_ms = 1;
     ASSERT_TRUE(client.Send(request).ok());
   }
-  size_t non_ok = 0;
-  for (size_t i = 0; i < kBatch; ++i) {
+  // Deadlines start at dispatch; once every request is dispatched, wait
+  // out the budget before freeing the worker.
+  while (stack.server->GetStats().requests < kBatch + 1) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  gate.Release();
+  size_t expired = 0;
+  for (size_t i = 0; i < kBatch + 1; ++i) {
     auto response = client.Receive();
     ASSERT_TRUE(response.ok()) << response.status().ToString();
-    if (response->status != WireStatus::kOk) {
-      ++non_ok;
-      EXPECT_TRUE(response->status == WireStatus::kDeadlineExceeded ||
-                  response->status == WireStatus::kResourceExhausted)
-          << WireStatusName(response->status);
+    if (response->request_id == kPredictId) {
+      EXPECT_EQ(response->status, WireStatus::kOk);
+      continue;
     }
+    EXPECT_TRUE(response->status == WireStatus::kDeadlineExceeded ||
+                response->status == WireStatus::kResourceExhausted)
+        << WireStatusName(response->status);
+    ++expired;
   }
-  EXPECT_GE(non_ok, 1u);
+  EXPECT_EQ(expired, kBatch);
 }
 
 TEST(NetServerTest, BatchExplainFrameAnswersEveryItemPositionally) {

@@ -316,8 +316,11 @@ TEST_F(ProxyTest, ExpiredExplainDeadlineYieldsDegradedButConformantKey) {
 }
 
 TEST(ProxyDeadlineTest, MillisecondExplainOverLargeContextDegradesNotBlocks) {
-  // A context large enough that a single greedy SRK pass costs well over
-  // 1ms: the deadline must cut the enumeration short, not block or error.
+  // A budget far below the cost of reading a 300K-row index slice (tens
+  // of microseconds on any host) expires before the first greedy round,
+  // whatever the machine's speed: the deadline must cut the enumeration
+  // short, not block or error. A millisecond budget would race the
+  // sub-millisecond index search instead.
   Dataset data =
       cce::testing::RandomContext(300000, 24, 3, 1234, /*noise=*/0.0);
   ExplainableProxy::Options options;
@@ -331,7 +334,7 @@ TEST(ProxyDeadlineTest, MillisecondExplainOverLargeContextDegradesNotBlocks) {
   const Instance& x0 = data.instance(0);
   Label y0 = data.label(0);
   auto key = (*proxy)->Explain(
-      x0, y0, Deadline::After(std::chrono::milliseconds(1)));
+      x0, y0, Deadline::After(std::chrono::microseconds(1)));
   ASSERT_TRUE(key.ok());
   EXPECT_TRUE(key->degraded);
   EXPECT_TRUE(key->satisfied) << "noise-free context: the padded key must "

@@ -1,11 +1,17 @@
 #ifndef CCE_TESTS_TEST_UTIL_H_
 #define CCE_TESTS_TEST_UTIL_H_
 
+#include <unistd.h>
+
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <string>
+#include <system_error>
 #include <vector>
+
+#include <gtest/gtest.h>
 
 #include "common/random.h"
 #include "core/dataset.h"
@@ -27,6 +33,46 @@ inline uint64_t FaultScheduleSeed(uint64_t fallback) {
   if (end == raw || *end != '\0') return fallback;
   return static_cast<uint64_t>(parsed);
 }
+
+/// A fresh directory private to the running test: named after the test
+/// suite, the test and the process id (so parallel ctest processes and
+/// repeated runs never share one), created empty on construction and
+/// removed with everything in it on destruction.
+class ScopedTestDir {
+ public:
+  ScopedTestDir() {
+    const ::testing::TestInfo* info =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    std::string name = info == nullptr
+                           ? std::string("no_test")
+                           : std::string(info->test_suite_name()) + "." +
+                                 info->name();
+    // Parameterized names carry '/'; keep the directory one level deep.
+    for (char& c : name) {
+      if (c == '/') c = '_';
+    }
+    path_ = ::testing::TempDir() + "/" + name + "." +
+            std::to_string(::getpid());
+    std::error_code ignored;
+    std::filesystem::remove_all(path_, ignored);
+    std::filesystem::create_directories(path_);
+  }
+  ~ScopedTestDir() {
+    std::error_code ignored;
+    std::filesystem::remove_all(path_, ignored);
+  }
+  ScopedTestDir(const ScopedTestDir&) = delete;
+  ScopedTestDir& operator=(const ScopedTestDir&) = delete;
+
+  const std::string& path() const { return path_; }
+  /// `path()/name`.
+  std::string File(const std::string& name) const {
+    return path_ + "/" + name;
+  }
+
+ private:
+  std::string path_;
+};
 
 /// The example context of the paper's Figure 2 (features Gender, Income,
 /// Credit, Dependent; 7 loan instances x0..x6). The relative key for x0 is
