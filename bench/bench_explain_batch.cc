@@ -4,9 +4,9 @@
 // thing that changes between the two configurations is the server's
 // scalar-Explain micro-batching knob:
 //
-//   per_request — max_explain_batch = 1: every queued EXPLAIN_REQUEST
-//   runs alone (one admission charge, one bitmap build per key), the
-//   pre-batching behaviour.
+//   per_request — max_explain_batch = 1: each drain takes one queued
+//   EXPLAIN_REQUEST, a batch of one (one admission charge, one bitmap
+//   build per key).
 //
 //   batched — max_explain_batch = 16 (the default): workers drain the
 //   queue in groups and answer each group with one shared-build
@@ -133,8 +133,10 @@ struct FloodResult {
   double live_keys_per_sec = 0;
   double answered_fraction = 0;
   uint64_t cached_serves = 0;
-  /// batch_items / batch_executions over the measured runs (1.0 when no
-  /// shared-build execution ran, i.e. the per-request configuration).
+  /// batch_items / batch_executions over the measured runs. Every live key
+  /// search counts as an execution, a lone Explain as one of one item, so
+  /// the per-request configuration reads 1.0 (also the value when nothing
+  /// ran).
   double amortization_factor = 1.0;
 };
 

@@ -54,6 +54,12 @@
 # fd (the test takes a /proc/self/fd census). Failures print under the
 # CCE_NET_SEED that reproduces the schedule.
 #
+# SUITE=flake is the determinism gate: the default AddressSanitizer +
+# UndefinedBehaviorSanitizer tier-1 sweep, repeated with
+# `ctest -j --repeat until-fail:20`. Every test must pass twenty times in a
+# row while the others run beside it, so a wall-clock race or a shared temp
+# path fails here instead of flaking in CI.
+#
 # Usage: scripts/check.sh [extra ctest args...]
 #   BUILD_DIR=build-asan JOBS=8 scripts/check.sh -R ProxyTest
 #   SUITE=stress scripts/check.sh
@@ -62,6 +68,7 @@
 #   SUITE=replica scripts/check.sh
 #   SUITE=ha scripts/check.sh
 #   SUITE=net scripts/check.sh
+#   SUITE=flake scripts/check.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -95,8 +102,11 @@ elif [[ "$SUITE" == "net" ]]; then
   SANITIZER=address
   export CCE_NET_ITERS=${CCE_NET_ITERS:-200}
   SUITE_ARGS=(-R 'NetTorture')
+elif [[ "$SUITE" == "flake" ]]; then
+  SANITIZER=address
+  SUITE_ARGS=(--repeat until-fail:20)
 elif [[ -n "$SUITE" ]]; then
-  echo "unknown SUITE='$SUITE' (expected 'stress', 'docs', 'crash', 'replica', 'ha', 'net' or unset)" >&2
+  echo "unknown SUITE='$SUITE' (expected 'stress', 'docs', 'crash', 'replica', 'ha', 'net', 'flake' or unset)" >&2
   exit 2
 fi
 

@@ -237,20 +237,12 @@ BitsetPart WholeContextPart(std::vector<uint64_t>* blocks, size_t i,
                     std::min(context_size, Srk::kTieBreakSampleRows)};
 }
 
-KeyResult ExplainInstanceBitset(const Context& context, const Instance& x0,
-                                Label y0, const Srk::Options& options,
-                                size_t tolerated) {
-  std::vector<uint64_t> block =
-      BuildBlocks(context, {Srk::BatchItem{x0, y0, options.deadline}},
-                  options.pool, options.stats);
-  const size_t n = context.num_features();
-  return RunBitsetGreedy({WholeContextPart(&block, 0, n, context.size())}, n,
-                         context.size(), tolerated, options.deadline,
-                         options.pool, options.stats);
-}
-
-/// The batched bitset path: one shared build for every item, then each
-/// item's greedy runs serially inside a per-item task.
+/// The bitset engine's only path, a lone ExplainInstance included: one
+/// shared build for every item, then each item's greedy. The batch size
+/// decides where the pool goes. A lone item's greedy shards its candidate
+/// counting across it; several items fan out across it, one fully serial
+/// greedy per task (ThreadPool is non-reentrant). The keys are unchanged
+/// either way — every compared quantity is an exact popcount.
 std::vector<KeyResult> ExplainBatchBitset(const Context& context,
                                           const std::vector<Srk::BatchItem>& items,
                                           const Srk::Options& options,
@@ -262,22 +254,18 @@ std::vector<KeyResult> ExplainBatchBitset(const Context& context,
       BuildBlocks(context, items, pool, options.stats);
 
   std::vector<KeyResult> results(m);
-  // Per-item greedy, fanned across the pool. Each task is fully serial
-  // inside (ThreadPool is non-reentrant), which is also why the greedy's
-  // own candidate counting gets no pool here: the keys are unchanged —
-  // every compared quantity is an exact popcount either way.
-  auto run_item = [&](size_t i) {
+  auto run_item = [&](size_t i, ThreadPool* greedy_pool) {
     results[i] = RunBitsetGreedy(
         {WholeContextPart(&blocks, i, n, context.size())}, n, context.size(),
-        tolerated, items[i].deadline, /*pool=*/nullptr, options.stats);
+        tolerated, items[i].deadline, greedy_pool, options.stats);
   };
-  if (pool != nullptr) {
-    pool->ParallelFor(m, run_item);
+  if (pool == nullptr || m == 1) {
+    for (size_t i = 0; i < m; ++i) run_item(i, pool);
+  } else {
+    pool->ParallelFor(m, [&](size_t i) { run_item(i, nullptr); });
     if (options.stats != nullptr) {
       options.stats->shard_tasks.fetch_add(m, std::memory_order_relaxed);
     }
-  } else {
-    for (size_t i = 0; i < m; ++i) run_item(i);
   }
   return results;
 }
@@ -380,7 +368,10 @@ Result<KeyResult> Srk::ExplainInstance(const Context& context,
   const size_t tolerated = ViolatorBudget(options.alpha, context_size);
 
   if (options.parallel_conformity) {
-    return ExplainInstanceBitset(context, x0, y0, options, tolerated);
+    return std::move(ExplainBatchBitset(context,
+                                        {BatchItem{x0, y0, options.deadline}},
+                                        options, tolerated)
+                         .front());
   }
 
   KeyResult result;

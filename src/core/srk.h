@@ -77,6 +77,7 @@ class Srk {
 
   /// Explains an arbitrary (x0, y0) against `context`. x0 need not be a row
   /// of the context; its values must be expressed in the context schema.
+  /// With parallel_conformity this is ExplainBatch of one item.
   static Result<KeyResult> ExplainInstance(const Context& context,
                                            const Instance& x0, Label y0,
                                            const Options& options);
@@ -92,8 +93,10 @@ class Srk {
 
   /// Batched ExplainInstance: scores every item against ONE shared row-major
   /// pass over the context — each context row is touched once for the whole
-  /// batch instead of once per item — then runs each item's greedy serially
-  /// inside a per-item task (fanned across `options.pool` when set).
+  /// batch instead of once per item — then runs each item's greedy. With
+  /// `options.pool` set, a lone item's greedy shards its candidate counting
+  /// across the pool, and several items fan out across it one serial greedy
+  /// each.
   ///
   /// Determinism contract: the returned keys are bit-identical to calling
   /// ExplainInstance on each item independently, at any pool width and any

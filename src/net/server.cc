@@ -51,6 +51,16 @@ uint64_t RawRequestId(const uint8_t* frame) {
   return id;
 }
 
+/// Fills the failure prefix (status, cause, retry_after_ms hint) of a
+/// scalar response or a BATCH_EXPLAIN entry.
+template <typename Answer>
+void SetFailure(const Status& status, Answer* answer) {
+  answer->status = WireStatusFromCode(status.code());
+  answer->message = status.message();
+  const int64_t hint = serving::ParseRetryAfterMs(status);
+  if (hint >= 0) answer->retry_after_ms = static_cast<uint32_t>(hint);
+}
+
 }  // namespace
 
 NetServer::NetServer(serving::ServingGroup* group, const Options& options)
@@ -536,18 +546,20 @@ void NetServer::HandleHttp(Connection* conn, const std::string& request_line) {
   conn->close_cause = "client";
 }
 
+Deadline NetServer::DeadlineFor(uint32_t deadline_ms) const {
+  if (deadline_ms == 0) deadline_ms = options_.default_deadline_ms;
+  return deadline_ms != 0
+             ? Deadline::After(std::chrono::milliseconds(deadline_ms))
+             : Deadline::Infinite();
+}
+
 void NetServer::DispatchRequest(Connection* conn, Request request) {
   ++tick_dispatched_;
   const serving::RequestClass cls = ClassFor(request.type);
   requests_[static_cast<int>(cls)]->Increment();
   const Clock::time_point started = Clock::now();
-  const uint32_t deadline_ms = request.deadline_ms != 0
-                                   ? request.deadline_ms
-                                   : options_.default_deadline_ms;
-  const Deadline deadline =
-      deadline_ms != 0
-          ? Deadline::After(std::chrono::milliseconds(deadline_ms))
-          : Deadline::Infinite();
+  // Deadlines start at dispatch, a BATCH_EXPLAIN item's too.
+  const Deadline deadline = DeadlineFor(request.deadline_ms);
   // Cheap classes pass the token bucket right here on the loop thread
   // (AdmitCheap never blocks); expensive classes do their full —
   // possibly blocking — admission on a worker.
@@ -574,27 +586,55 @@ void NetServer::DispatchRequest(Connection* conn, Request request) {
   pending_.fetch_add(1, std::memory_order_relaxed);
   ++conn->in_flight;
   const uint64_t conn_id = conn->id;
-  if (request.type == MessageType::kExplainRequest &&
-      options_.max_explain_batch > 1) {
-    // Park scalar Explains in the micro-batch queue instead of binding
-    // each to its own worker task: the drain that answers this request
-    // takes every batchmate queued behind it, so a flood's queue depth
-    // becomes shared-build throughput instead of per-request searches.
+  if (request.type == MessageType::kExplainRequest) {
+    // Every scalar Explain is parked in the micro-batch queue instead of
+    // binding to its own worker task: the drain that answers it takes
+    // every batchmate queued behind it, so a flood's queue depth becomes
+    // shared-read throughput instead of per-request searches.
     {
       std::lock_guard<std::mutex> lock(explain_mu_);
       explain_queue_.push_back(
-          {conn_id, started, deadline, std::move(request)});
+          {conn_id, started, request.request_id,
+           {std::move(request.instance), request.label, deadline}});
     }
     workers_->Submit([this] { DrainExplainQueue(); });
     return;
   }
+  if (request.type == MessageType::kBatchExplainRequest) {
+    std::vector<serving::BatchQuery> items;
+    items.reserve(request.batch.size());
+    for (Request::BatchItem& item : request.batch) {
+      items.push_back({std::move(item.instance), item.label,
+                       DeadlineFor(item.deadline_ms)});
+    }
+    workers_->Submit([this, conn_id, started, request_id = request.request_id,
+                      items = std::move(items)]() mutable {
+      Response response;
+      response.type = MessageType::kBatchExplainResponse;
+      response.request_id = request_id;
+      ExplainAnswers answers = ExecuteExplains(std::move(items));
+      if (answers.shed_items > 0) {
+        // A shed frame is one shed, answered by the frame's own status.
+        shed_admission_->Increment();
+        SetFailure(answers.shed, &response);
+      } else {
+        response.batch = std::move(answers.items);
+      }
+      Complete(conn_id, started, response);
+    });
+    return;
+  }
   workers_->Submit(
       [this, conn_id, started, deadline, request = std::move(request)] {
-        Response response = ExecuteRequest(request, deadline);
-        std::string frame = EncodeResponse(response);
-        pending_.fetch_sub(1, std::memory_order_relaxed);
-        PushCompletion({conn_id, std::move(frame), started});
+        Complete(conn_id, started, ExecuteRequest(request, deadline));
       });
+}
+
+void NetServer::Complete(uint64_t conn_id, Clock::time_point started,
+                         const Response& response) {
+  std::string frame = EncodeResponse(response);
+  pending_.fetch_sub(1, std::memory_order_relaxed);
+  PushCompletion({conn_id, std::move(frame), started});
 }
 
 void NetServer::DrainExplainQueue() {
@@ -618,43 +658,59 @@ void NetServer::DrainExplainQueue() {
       explain_queue_.pop_front();
     }
   }
-  batch_size_->Observe(static_cast<int64_t>(batch.size()));
-  if (batch.size() == 1) {
-    // A lone request runs the classic scalar path: same admission, same
-    // search, no batch overhead.
-    PendingExplain item = std::move(batch.front());
-    Response response = ExecuteRequest(item.request, item.deadline);
-    std::string frame = EncodeResponse(response);
-    pending_.fetch_sub(1, std::memory_order_relaxed);
-    PushCompletion({item.conn_id, std::move(frame), item.started});
-    return;
+  std::vector<serving::BatchQuery> items;
+  items.reserve(batch.size());
+  for (PendingExplain& pending : batch) {
+    items.push_back(std::move(pending.item));
   }
-  ExecuteExplainBatch(std::move(batch));
+  ExplainAnswers answers = ExecuteExplains(std::move(items));
+  // Each drained request is its own wire frame, so each shed counts.
+  shed_admission_->Add(answers.shed_items);
+  for (size_t i = 0; i < batch.size(); ++i) {
+    Response::BatchExplainItem& answer = answers.items[i];
+    Response response;
+    response.type = MessageType::kExplainResponse;
+    response.request_id = batch[i].request_id;
+    response.status = answer.status;
+    response.retry_after_ms = answer.retry_after_ms;
+    response.message = std::move(answer.message);
+    response.flags = answer.flags;
+    response.achieved_alpha = answer.achieved_alpha;
+    response.view_seq = answer.view_seq;
+    response.backend = answer.backend;
+    response.key = std::move(answer.key);
+    Complete(batch[i].conn_id, batch[i].started, response);
+  }
 }
 
-void NetServer::ExecuteExplainBatch(std::vector<PendingExplain> batch) {
-  const auto finish = [&](size_t i, Response response) {
-    std::string frame = EncodeResponse(response);
-    pending_.fetch_sub(1, std::memory_order_relaxed);
-    PushCompletion({batch[i].conn_id, std::move(frame), batch[i].started});
-  };
-  const auto fail_item = [&](size_t i, const Status& status) {
-    Response response;
-    response.type = ResponseTypeFor(batch[i].request.type);
-    response.request_id = batch[i].request.request_id;
-    response.status = WireStatusFromCode(status.code());
-    response.message = status.message();
-    const int64_t hint = serving::ParseRetryAfterMs(status);
-    if (hint >= 0) response.retry_after_ms = static_cast<uint32_t>(hint);
-    finish(i, std::move(response));
-  };
-  // One admission charge for the whole batch — the expensive unit is the
-  // shared bitmap build — bounded by the earliest item deadline so nobody
-  // queues past its own budget.
+NetServer::ExplainAnswers NetServer::ExecuteExplains(
+    std::vector<serving::BatchQuery> items) {
+  ExplainAnswers answers;
+  answers.items.resize(items.size());
+  batch_size_->Observe(static_cast<int64_t>(items.size()));
+  // An item whose budget is already spent is a deadline miss, answered
+  // before admission: it is never shed and never charged. The live items
+  // keep their order at the front of `items`.
+  std::vector<size_t> live;
+  live.reserve(items.size());
+  for (size_t i = 0; i < items.size(); ++i) {
+    if (items[i].deadline.expired()) {
+      SetFailure(Status::DeadlineExceeded("deadline expired before execution"),
+                 &answers.items[i]);
+      continue;
+    }
+    if (live.size() != i) items[live.size()] = std::move(items[i]);
+    live.push_back(i);
+  }
+  if (live.empty()) return answers;
+  items.resize(live.size());
+  // One admission charge for the rest — the expensive unit is the shared
+  // index read — bounded by the earliest deadline so nobody queues past
+  // its own budget.
   std::optional<serving::OverloadController::Permit> permit;
   if (controller_ != nullptr) {
-    Deadline admit_deadline = batch.front().deadline;
-    for (const PendingExplain& item : batch) {
+    Deadline admit_deadline = items.front().deadline;
+    for (const serving::BatchQuery& item : items) {
       if (item.deadline.expiry() < admit_deadline.expiry()) {
         admit_deadline = item.deadline;
       }
@@ -662,55 +718,33 @@ void NetServer::ExecuteExplainBatch(std::vector<PendingExplain> batch) {
     auto admitted = controller_->AdmitExpensive(
         serving::RequestClass::kExplain, admit_deadline);
     if (!admitted.ok()) {
-      for (size_t i = 0; i < batch.size(); ++i) {
-        shed_admission_->Increment();
-        finish(i, ShedResponse(batch[i].request, admitted.status()));
-      }
-      return;
+      answers.shed = admitted.status();
+      answers.shed_items = live.size();
+      for (size_t i : live) SetFailure(answers.shed, &answers.items[i]);
+      return answers;
     }
     permit.emplace(std::move(admitted).value());
   }
-  // Deadlines stay per item: an already-expired one answers for itself
-  // and the rest still share the build.
-  std::vector<size_t> live;
-  std::vector<serving::BatchQuery> queries;
-  live.reserve(batch.size());
-  queries.reserve(batch.size());
-  for (size_t i = 0; i < batch.size(); ++i) {
-    if (batch[i].deadline.expired()) {
-      fail_item(i,
-                Status::DeadlineExceeded("deadline expired before execution"));
-      continue;
-    }
-    live.push_back(i);
-    queries.push_back({batch[i].request.instance, batch[i].request.label,
-                       batch[i].deadline});
-  }
-  if (live.empty()) return;
   std::vector<Result<serving::ServingGroup::ExplainResult>> results =
-      group_->ExplainBatch(queries);
+      group_->ExplainBatch(items);
   for (size_t j = 0; j < live.size(); ++j) {
-    const size_t i = live[j];
+    Response::BatchExplainItem& answer = answers.items[live[j]];
     if (!results[j].ok()) {
-      fail_item(i, results[j].status());
+      SetFailure(results[j].status(), &answer);
       continue;
     }
-    const serving::ServingGroup::ExplainResult& explained =
-        results[j].value();
-    Response response;
-    response.type = ResponseTypeFor(batch[i].request.type);
-    response.request_id = batch[i].request.request_id;
-    response.status = WireStatus::kOk;
-    response.flags = (explained.key.degraded ? kFlagDegraded : 0) |
-                     (explained.key.cached ? kFlagCached : 0) |
-                     (explained.hedged ? kFlagHedged : 0) |
-                     (explained.key.satisfied ? 0 : kFlagUnsatisfied);
-    response.achieved_alpha = explained.key.achieved_alpha;
-    response.view_seq = explained.view_seq;
-    response.backend = static_cast<uint32_t>(explained.backend);
-    response.key = explained.key.key;
-    finish(i, std::move(response));
+    serving::ServingGroup::ExplainResult& explained = results[j].value();
+    answer.status = WireStatus::kOk;
+    answer.flags = (explained.key.degraded ? kFlagDegraded : 0) |
+                   (explained.key.cached ? kFlagCached : 0) |
+                   (explained.hedged ? kFlagHedged : 0) |
+                   (explained.key.satisfied ? 0 : kFlagUnsatisfied);
+    answer.achieved_alpha = explained.key.achieved_alpha;
+    answer.view_seq = explained.view_seq;
+    answer.backend = static_cast<uint32_t>(explained.backend);
+    answer.key = std::move(explained.key.key);
   }
+  return answers;
 }
 
 Response NetServer::ShedResponse(const Request& request,
@@ -718,10 +752,7 @@ Response NetServer::ShedResponse(const Request& request,
   Response response;
   response.type = ResponseTypeFor(request.type);
   response.request_id = request.request_id;
-  response.status = WireStatusFromCode(shed.code());
-  response.message = shed.message();
-  const int64_t hint = serving::ParseRetryAfterMs(shed);
-  if (hint >= 0) response.retry_after_ms = static_cast<uint32_t>(hint);
+  SetFailure(shed, &response);
   return response;
 }
 
@@ -730,21 +761,16 @@ Response NetServer::ExecuteRequest(const Request& request,
   Response response;
   response.type = ResponseTypeFor(request.type);
   response.request_id = request.request_id;
-  const auto fail = [&](const Status& status) {
-    response.status = WireStatusFromCode(status.code());
-    response.message = status.message();
-    const int64_t hint = serving::ParseRetryAfterMs(status);
-    if (hint >= 0) response.retry_after_ms = static_cast<uint32_t>(hint);
-  };
   if (deadline.expired()) {
-    fail(Status::DeadlineExceeded("deadline expired before execution"));
+    SetFailure(Status::DeadlineExceeded("deadline expired before execution"),
+               &response);
     return response;
   }
   switch (request.type) {
     case MessageType::kPredictRequest: {
       Result<Label> result = group_->Predict(request.instance, deadline);
       if (!result.ok()) {
-        fail(result.status());
+        SetFailure(result.status(), &response);
         return response;
       }
       response.label = result.value();
@@ -753,131 +779,38 @@ Response NetServer::ExecuteRequest(const Request& request,
     case MessageType::kRecordRequest: {
       Status status = group_->Record(request.instance, request.label);
       if (!status.ok()) {
-        fail(status);
+        SetFailure(status, &response);
         return response;
       }
       break;
     }
-    case MessageType::kExplainRequest:
     case MessageType::kCounterfactualsRequest: {
-      const serving::RequestClass cls = ClassFor(request.type);
-      std::optional<serving::OverloadController::Permit> permit;
-      if (controller_ != nullptr) {
-        auto admitted = controller_->AdmitExpensive(cls, deadline);
-        if (!admitted.ok()) {
-          shed_admission_->Increment();
-          fail(admitted.status());
-          return response;
-        }
-        permit.emplace(std::move(admitted).value());
-      }
-      if (request.type == MessageType::kExplainRequest) {
-        auto result =
-            group_->Explain(request.instance, request.label, deadline);
-        if (!result.ok()) {
-          fail(result.status());
-          return response;
-        }
-        const serving::ServingGroup::ExplainResult& explained = result.value();
-        response.flags =
-            (explained.key.degraded ? kFlagDegraded : 0) |
-            (explained.key.cached ? kFlagCached : 0) |
-            (explained.hedged ? kFlagHedged : 0) |
-            (explained.key.satisfied ? 0 : kFlagUnsatisfied);
-        response.achieved_alpha = explained.key.achieved_alpha;
-        response.view_seq = explained.view_seq;
-        response.backend = static_cast<uint32_t>(explained.backend);
-        response.key = explained.key.key;
-      } else {
-        auto result = group_->Counterfactuals(request.instance, request.label);
-        if (!result.ok()) {
-          fail(result.status());
-          return response;
-        }
-        response.witnesses.reserve(result.value().size());
-        for (const RelativeCounterfactual& witness : result.value()) {
-          response.witnesses.push_back({witness.witness_row,
-                                        witness.witness_label,
-                                        witness.changed_features});
-        }
-      }
-      break;
-    }
-    case MessageType::kBatchExplainRequest: {
-      // A client-formed batch: one admission charge, one shared-build
-      // search, one response frame with per-item statuses.
-      std::vector<Deadline> deadlines;
-      deadlines.reserve(request.batch.size());
-      Deadline admit_deadline = Deadline::Infinite();
-      for (const Request::BatchItem& item : request.batch) {
-        const uint32_t ms = item.deadline_ms != 0
-                                ? item.deadline_ms
-                                : options_.default_deadline_ms;
-        const Deadline item_deadline =
-            ms != 0 ? Deadline::After(std::chrono::milliseconds(ms))
-                    : Deadline::Infinite();
-        if (item_deadline.expiry() < admit_deadline.expiry()) {
-          admit_deadline = item_deadline;
-        }
-        deadlines.push_back(item_deadline);
-      }
       std::optional<serving::OverloadController::Permit> permit;
       if (controller_ != nullptr) {
         auto admitted = controller_->AdmitExpensive(
-            serving::RequestClass::kExplain, admit_deadline);
+            serving::RequestClass::kCounterfactuals, deadline);
         if (!admitted.ok()) {
           shed_admission_->Increment();
-          fail(admitted.status());
+          SetFailure(admitted.status(), &response);
           return response;
         }
         permit.emplace(std::move(admitted).value());
       }
-      batch_size_->Observe(static_cast<int64_t>(request.batch.size()));
-      response.batch.resize(request.batch.size());
-      std::vector<size_t> live;
-      std::vector<serving::BatchQuery> queries;
-      live.reserve(request.batch.size());
-      queries.reserve(request.batch.size());
-      for (size_t i = 0; i < request.batch.size(); ++i) {
-        if (deadlines[i].expired()) {
-          response.batch[i].status = WireStatus::kDeadlineExceeded;
-          response.batch[i].message = "deadline expired before execution";
-          continue;
-        }
-        live.push_back(i);
-        queries.push_back({request.batch[i].instance,
-                           request.batch[i].label, deadlines[i]});
+      auto result = group_->Counterfactuals(request.instance, request.label);
+      if (!result.ok()) {
+        SetFailure(result.status(), &response);
+        return response;
       }
-      if (!live.empty()) {
-        std::vector<Result<serving::ServingGroup::ExplainResult>> results =
-            group_->ExplainBatch(queries);
-        for (size_t j = 0; j < live.size(); ++j) {
-          Response::BatchExplainItem& item = response.batch[live[j]];
-          if (!results[j].ok()) {
-            const Status& status = results[j].status();
-            item.status = WireStatusFromCode(status.code());
-            item.message = status.message();
-            const int64_t hint = serving::ParseRetryAfterMs(status);
-            if (hint >= 0) item.retry_after_ms = static_cast<uint32_t>(hint);
-            continue;
-          }
-          const serving::ServingGroup::ExplainResult& explained =
-              results[j].value();
-          item.status = WireStatus::kOk;
-          item.flags = (explained.key.degraded ? kFlagDegraded : 0) |
-                       (explained.key.cached ? kFlagCached : 0) |
-                       (explained.hedged ? kFlagHedged : 0) |
-                       (explained.key.satisfied ? 0 : kFlagUnsatisfied);
-          item.achieved_alpha = explained.key.achieved_alpha;
-          item.view_seq = explained.view_seq;
-          item.backend = static_cast<uint32_t>(explained.backend);
-          item.key = explained.key.key;
-        }
+      response.witnesses.reserve(result.value().size());
+      for (const RelativeCounterfactual& witness : result.value()) {
+        response.witnesses.push_back({witness.witness_row,
+                                      witness.witness_label,
+                                      witness.changed_features});
       }
       break;
     }
     default:
-      fail(Status::Internal("non-request type dispatched"));
+      SetFailure(Status::Internal("non-request type dispatched"), &response);
       return response;
   }
   response.status = WireStatus::kOk;

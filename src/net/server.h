@@ -45,6 +45,12 @@ namespace cce::net {
 /// bounded admission queue, so the event loop itself never blocks on a
 /// slot or a key search.
 ///
+/// One Explain path: a scalar EXPLAIN_REQUEST is a batch of one. Each is
+/// queued and drained with whatever batchmates are waiting, and a drain
+/// and a BATCH_EXPLAIN frame run the same executor (ExecuteExplains): an
+/// already-expired item is answered kDeadlineExceeded before admission,
+/// the rest pay one admission charge and one ServingGroup::ExplainBatch.
+///
 /// Robustness contract (SUITE=net tortures it under ASan): a connection
 /// that dies mid-frame, sends garbage, lies about body_len, or stalls a
 /// frame forever (slow loris) is answered where possible and closed —
@@ -100,15 +106,15 @@ class NetServer {
     /// Deadline applied to requests that carry deadline_ms = 0; 0 = none.
     uint32_t default_deadline_ms = 0;
 
-    /// Upper bound on Explain items answered by one shared-build key
-    /// search (docs/operations.md). Queued scalar EXPLAIN_REQUEST frames
-    /// are drained in compatible groups of up to this many and executed
-    /// as one serving::ServingGroup::ExplainBatch — one admission charge,
-    /// one bitmap build — so queue depth under a flood becomes batch
-    /// throughput instead of sheds. 1 disables micro-batching (every
-    /// request runs alone, the pre-batching behaviour). BATCH_EXPLAIN
-    /// frames are always executed as the client-formed batch regardless
-    /// of this knob. Keys are bit-identical at any batch split.
+    /// Upper bound on Explain items answered by one shared-read key
+    /// search (docs/operations.md). Every EXPLAIN_REQUEST frame is queued,
+    /// and a drain takes up to this many and executes them as one
+    /// serving::ServingGroup::ExplainBatch — one admission charge, one
+    /// read of the shard indexes — so queue depth under a flood becomes
+    /// batch throughput instead of sheds. At 1 each drain takes one
+    /// request, a batch of one. BATCH_EXPLAIN frames are always executed
+    /// as the client-formed batch regardless of this knob. Keys are
+    /// bit-identical at any batch split.
     size_t max_explain_batch = 16;
     /// How long a drain may wait for more queued Explains before running
     /// a partial batch. 0 (default) never waits: a drain takes whatever
@@ -204,8 +210,16 @@ class NetServer {
   struct PendingExplain {
     uint64_t conn_id = 0;
     std::chrono::steady_clock::time_point started;
-    Deadline deadline;
-    Request request;
+    uint64_t request_id = 0;
+    serving::BatchQuery item;
+  };
+
+  /// ExecuteExplains' answers, positional. `shed_items` counts the entries
+  /// wire admission shed with `shed`.
+  struct ExplainAnswers {
+    std::vector<Response::BatchExplainItem> items;
+    Status shed;
+    size_t shed_items = 0;
   };
 
   NetServer(serving::ServingGroup* group, const Options& options);
@@ -221,15 +235,24 @@ class NetServer {
   bool ParseBuffer(Connection* conn);
   void HandleHttp(Connection* conn, const std::string& request_line);
   void DispatchRequest(Connection* conn, Request request);
-  /// Runs on a worker: admission (expensive classes) + group call.
+  /// A request's deadline from its wire budget (0 = the server default).
+  Deadline DeadlineFor(uint32_t deadline_ms) const;
+  /// Runs on a worker: Predict, Record and Counterfactuals (admission for
+  /// the expensive class + group call).
   Response ExecuteRequest(const Request& request, const Deadline& deadline);
   Response ShedResponse(const Request& request, const Status& shed) const;
-  /// Runs on a worker: pops up to max_explain_batch queued Explains and
-  /// answers them with one shared-build batch (one admission charge).
+  /// Runs on a worker: pops up to max_explain_batch queued Explains (one
+  /// when it is 1) and answers them with one ExecuteExplains.
   void DrainExplainQueue();
-  /// Executes `batch` (>= 2 items) as one ServingGroup::ExplainBatch and
-  /// pushes one completion per item.
-  void ExecuteExplainBatch(std::vector<PendingExplain> batch);
+  /// The one Explain executor, for a drain and a BATCH_EXPLAIN frame
+  /// alike: answers already-expired items with kDeadlineExceeded before
+  /// any admission, charges wire admission once for the rest (bounded by
+  /// their earliest deadline), runs them as one
+  /// ServingGroup::ExplainBatch, and maps each result to its wire entry.
+  ExplainAnswers ExecuteExplains(std::vector<serving::BatchQuery> items);
+  /// Encodes a worker's response and hands it to the loop.
+  void Complete(uint64_t conn_id, std::chrono::steady_clock::time_point started,
+                const Response& response);
 
   void QueueResponse(Connection* conn, const Response& response,
                      std::chrono::steady_clock::time_point started);

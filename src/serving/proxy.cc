@@ -188,11 +188,12 @@ void ExplainableProxy::InitInstruments() {
                      "Explains answered from the explanation cache.");
   ins_.batch_executions = reg.GetCounter(
       "cce_batch_executions_total",
-      "ExplainBatch() calls that ran a shared key search (one read of the "
-      "shard indexes amortized across every item in the batch).");
+      "Live key-search executions (one read of the shard indexes shared "
+      "by every item searched; a scalar Explain is one execution of one "
+      "item).");
   ins_.batch_items = reg.GetCounter(
       "cce_batch_items_total",
-      "Explain items answered through ExplainBatch() shared searches.");
+      "Explain items answered by live key-search executions.");
   ins_.fallback_serves = reg.GetCounter(
       "cce_fallback_serves_total",
       "Explain/Counterfactuals served from context while the breaker was "
@@ -750,131 +751,40 @@ Context ExplainableProxy::ContextSnapshot() const { return MergedContext(); }
 
 Result<KeyResult> ExplainableProxy::Explain(const Instance& x, Label y,
                                             const Deadline& deadline) const {
-  obs::RequestTrace trace(traces_.get(), "explain");
-  obs::ScopedLatency latency(registry_.get(), ins_.explain_latency_us);
-  ins_.explains->Increment();
-  {
-    auto span = trace.Phase("validate");
-    Status valid = ValidateRequest(x, y, /*check_label=*/true);
-    if (!valid.ok()) {
-      FinishTrace(trace, Op::kExplain, obs::TraceOutcome::kError, &valid);
-      return valid;
-    }
-  }
-  // Admission runs outside mu_: a request queued for an explain slot must
-  // never block Predict/Record traffic.
-  std::optional<OverloadController::Permit> permit;
-  if (overload_ != nullptr) {
-    auto span = trace.Phase("admit");
-    auto admitted =
-        overload_->AdmitExpensive(RequestClass::kExplain, deadline);
-    span.End();
-    if (!admitted.ok()) {
-      // Shed — the cached rung of the ladder: a cached key that Get()
-      // just re-proved conformant against the current window is a real
-      // answer, not a stale approximation.
-      std::lock_guard<std::mutex> lock(mu_);
-      if (explain_cache_ != nullptr) {
-        if (auto cached = explain_cache_->Get(x, y)) {
-          ins_.cache_served_explains->Increment();
-          FinishTrace(trace, Op::kExplain, obs::TraceOutcome::kServedCached);
-          return *cached;
-        }
-      }
-      FinishTrace(trace, Op::kExplain, obs::TraceOutcome::kShed,
-                  &admitted.status());
-      return admitted.status();
-    }
-    permit.emplace(std::move(admitted).value());
-  }
-  IndexRead& read = ThreadIndexRead();
-  uint64_t cache_stamp = 0;
-  bool degraded_context = false;
-  {
-    auto span = trace.Phase("index");
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      // Explaining consults only the recorded context (paper Section 6),
-      // so it keeps working when the breaker has taken the model out of
-      // the path — that serve is the "record-only fallback" rung.
-      if (breaker_.state() == CircuitBreaker::State::kOpen) {
-        ins_.fallback_serves->Increment();
-      }
-      // Admitted but under pressure (queued, saturated limiter, CoDel):
-      // prefer the cached key over burning a saturated machine on a
-      // search.
-      if (permit.has_value() && permit->under_pressure() &&
-          explain_cache_ != nullptr) {
-        if (auto cached = explain_cache_->Get(x, y)) {
-          ins_.cache_served_explains->Increment();
-          FinishTrace(trace, Op::kExplain, obs::TraceOutcome::kServedCached);
-          return *cached;
-        }
-      }
-    }
-    // Stamp the delta ring *before* reading: any Record that lands
-    // between this read and the index copy advances the ring past the
-    // stamp, and Put() refuses entries whose window membership is
-    // ambiguous — the cache's exactness gate.
-    if (explain_cache_ != nullptr) cache_stamp = explain_cache_->delta_seq();
-    ReadShardIndexes(shards_, {ContextShard::SliceQuery{&x, y}}, &read);
-    degraded_context = AnyShardQuarantined();
-    if (read.rows == 0) {
-      Status status =
-          Status::FailedPrecondition("no predictions recorded yet");
-      FinishTrace(trace, Op::kExplain, obs::TraceOutcome::kError, &status);
-      return status;
-    }
-  }
-  // The greedy runs on the copied slices, outside every lock: a slow
-  // Explain never stalls Predict/Record traffic.
-  Result<KeyResult> key = [&] {
-    auto span = trace.Phase("search");
-    return SearchIndex(&read, 0, schema_->num_features(), options_.alpha,
-                       deadline);
-  }();
-  if (!key.ok()) {
-    FinishTrace(trace, Op::kExplain, obs::TraceOutcome::kError,
-                &key.status());
-    return key;
-  }
-  const bool deadline_degraded = key->degraded;
-  if (degraded_context) {
-    // A quarantined shard means rows are missing from the context; the
-    // key is honest about its provenance.
-    key->degraded = true;
-  }
-  if (key->degraded) {
-    ins_.degraded_explains->Increment();
-    if (deadline_degraded) ins_.deadline_misses->Increment();
-    FinishTrace(trace, Op::kExplain, obs::TraceOutcome::kDegraded);
-  } else {
-    if (explain_cache_ != nullptr) {
-      // Only full (minimised) keys are worth caching: a padded degraded
-      // key served from cache would degrade answers even when idle.
-      std::lock_guard<std::mutex> lock(mu_);
-      explain_cache_->Put(x, y, cache_stamp, read.rows, *key);
-    }
-    FinishTrace(trace, Op::kExplain, obs::TraceOutcome::kServedFull);
-  }
-  return key;
+  return std::move(
+      ExplainItems({BatchQuery{x, y, deadline}}, "explain").front());
 }
 
 std::vector<Result<KeyResult>> ExplainableProxy::ExplainBatch(
     const std::vector<BatchQuery>& items) const {
+  return ExplainItems(items, "explain_batch");
+}
+
+std::vector<Result<KeyResult>> ExplainableProxy::ExplainItems(
+    const std::vector<BatchQuery>& items, const char* op) const {
   std::vector<Result<KeyResult>> results(
       items.size(), Result<KeyResult>(Status::Internal("unanswered")));
   if (items.empty()) return results;
-  obs::RequestTrace trace(traces_.get(), "explain_batch");
+  obs::RequestTrace trace(traces_.get(), op);
   obs::ScopedLatency latency(registry_.get(), ins_.explain_latency_us);
   ins_.explains->Add(items.size());
-  // Per-item request accounting: the batch is a transport optimization,
-  // not a new entry point, so each item lands in the same
-  // cce_requests_total{op="explain"} matrix a serial Explain would.
+  // Every item lands in the cce_requests_total{op="explain"} matrix on its
+  // own. The trace keeps the worst item outcome — TraceOutcome lists the
+  // ones an Explain can end in from served_full up to error — and the
+  // first failure's detail, so a one-item call traces exactly its item.
   auto count_item = [&](obs::TraceOutcome outcome) {
     ins_.requests[static_cast<int>(Op::kExplain)]
                  [static_cast<int>(outcome) - 1]
         ->Increment();
+    if (outcome > trace.outcome()) trace.set_outcome(outcome);
+  };
+  bool detailed = false;
+  auto fail_item = [&](size_t i, obs::TraceOutcome outcome,
+                       const Status& status) {
+    count_item(outcome);
+    if (!detailed && trace.active()) trace.set_detail(status.message());
+    detailed = true;
+    results[i] = status;
   };
   // Validate every item individually — one malformed instance must not
   // poison its batchmates.
@@ -888,17 +798,15 @@ std::vector<Result<KeyResult>> ExplainableProxy::ExplainBatch(
       if (valid.ok()) {
         live.push_back(i);
       } else {
-        count_item(obs::TraceOutcome::kError);
-        results[i] = std::move(valid);
+        fail_item(i, obs::TraceOutcome::kError, valid);
       }
     }
   }
-  if (live.empty()) {
-    trace.set_outcome(obs::TraceOutcome::kError);
-    return results;
-  }
+  if (live.empty()) return results;
   // Serve item `i` from the cache if a generation-fresh entry exists;
-  // caller holds mu_. Returns false when the item still needs a search.
+  // caller holds mu_. Returns false when the item still needs a search. A
+  // cached key that Get() just re-proved conformant against the current
+  // window is a real answer, not a stale approximation.
   auto serve_cached_locked = [&](size_t i) {
     if (explain_cache_ == nullptr) return false;
     auto cached = explain_cache_->Get(items[i].x, items[i].y);
@@ -908,10 +816,11 @@ std::vector<Result<KeyResult>> ExplainableProxy::ExplainBatch(
     results[i] = *std::move(cached);
     return true;
   };
-  // One admission charge for the whole batch: the expensive unit of work
-  // is the shared bitmap build, and the per-item greedy is cheap next to
-  // it. The earliest finite deadline bounds the queue wait so no item
-  // waits past its own budget just to be admitted.
+  // One admission charge per call, outside mu_ (a request queued for an
+  // explain slot must never block Predict/Record traffic): the expensive
+  // unit of work is the shared index read, and each item's greedy is
+  // cheap next to it. The earliest deadline bounds the queue wait so no
+  // item waits past its own budget just to be admitted.
   std::optional<OverloadController::Permit> permit;
   if (overload_ != nullptr) {
     Deadline admit_deadline = items[live.front()].deadline;
@@ -931,10 +840,8 @@ std::vector<Result<KeyResult>> ExplainableProxy::ExplainBatch(
       std::lock_guard<std::mutex> lock(mu_);
       for (size_t i : live) {
         if (serve_cached_locked(i)) continue;
-        count_item(obs::TraceOutcome::kShed);
-        results[i] = admitted.status();
+        fail_item(i, obs::TraceOutcome::kShed, admitted.status());
       }
-      trace.set_outcome(obs::TraceOutcome::kShed);
       return results;
     }
     permit.emplace(std::move(admitted).value());
@@ -948,11 +855,15 @@ std::vector<Result<KeyResult>> ExplainableProxy::ExplainBatch(
     auto span = trace.Phase("index");
     {
       std::lock_guard<std::mutex> lock(mu_);
+      // Explaining consults only the recorded context (paper Section 6),
+      // so it keeps working when the breaker has taken the model out of
+      // the path — that serve is the "record-only fallback" rung.
       if (breaker_.state() == CircuitBreaker::State::kOpen) {
         ins_.fallback_serves->Increment();
       }
-      // Under pressure, items with a fresh cached key skip the search;
-      // only the remainder costs bitmap work.
+      // Admitted but under pressure (queued, saturated limiter, CoDel):
+      // items with a fresh cached key skip the search; only the remainder
+      // costs index work.
       const bool under_pressure =
           permit.has_value() && permit->under_pressure();
       for (size_t i : live) {
@@ -960,10 +871,11 @@ std::vector<Result<KeyResult>> ExplainableProxy::ExplainBatch(
         pending.push_back(i);
       }
     }
-    if (pending.empty()) {
-      trace.set_outcome(obs::TraceOutcome::kServedCached);
-      return results;
-    }
+    if (pending.empty()) return results;
+    // Stamp the delta ring *before* reading: any Record that lands
+    // between this read and the index copy advances the ring past the
+    // stamp, and Put() refuses entries whose window membership is
+    // ambiguous — the cache's exactness gate.
     if (explain_cache_ != nullptr) cache_stamp = explain_cache_->delta_seq();
     // One pass over the shards copies every pending item's slice.
     std::vector<ContextShard::SliceQuery> queries;
@@ -974,14 +886,12 @@ std::vector<Result<KeyResult>> ExplainableProxy::ExplainBatch(
     if (read.rows == 0) {
       Status status =
           Status::FailedPrecondition("no predictions recorded yet");
-      for (size_t i : pending) {
-        count_item(obs::TraceOutcome::kError);
-        results[i] = status;
-      }
-      trace.set_outcome(obs::TraceOutcome::kError);
+      for (size_t i : pending) fail_item(i, obs::TraceOutcome::kError, status);
       return results;
     }
   }
+  // The greedy runs on the copied slices, outside every lock: a slow
+  // Explain never stalls Predict/Record traffic.
   std::vector<Result<KeyResult>> keys;
   keys.reserve(pending.size());
   {
@@ -993,26 +903,27 @@ std::vector<Result<KeyResult>> ExplainableProxy::ExplainBatch(
   }
   ins_.batch_executions->Increment();
   ins_.batch_items->Add(pending.size());
-  bool any_degraded = false;
-  bool any_failed = false;
-  std::lock_guard<std::mutex> lock(mu_);
+  // mu_ guards only the cache here; the counters are atomic.
+  std::unique_lock<std::mutex> lock(mu_, std::defer_lock);
+  if (explain_cache_ != nullptr) lock.lock();
   for (size_t j = 0; j < pending.size(); ++j) {
     const size_t i = pending[j];
     if (!keys[j].ok()) {
-      any_failed = true;
-      count_item(obs::TraceOutcome::kError);
-      results[i] = keys[j].status();
+      fail_item(i, obs::TraceOutcome::kError, keys[j].status());
       continue;
     }
     KeyResult key = std::move(keys[j]).value();
     const bool deadline_degraded = key.degraded;
+    // A quarantined shard means rows are missing from the context; the
+    // key is honest about its provenance.
     if (degraded_context) key.degraded = true;
     if (key.degraded) {
-      any_degraded = true;
       ins_.degraded_explains->Increment();
       if (deadline_degraded) ins_.deadline_misses->Increment();
       count_item(obs::TraceOutcome::kDegraded);
     } else {
+      // Only full (minimised) keys are worth caching: a padded degraded
+      // key served from cache would degrade answers even when idle.
       if (explain_cache_ != nullptr) {
         explain_cache_->Put(items[i].x, items[i].y, cache_stamp, read.rows,
                             key);
@@ -1021,9 +932,6 @@ std::vector<Result<KeyResult>> ExplainableProxy::ExplainBatch(
     }
     results[i] = std::move(key);
   }
-  trace.set_outcome(any_failed     ? obs::TraceOutcome::kError
-                    : any_degraded ? obs::TraceOutcome::kDegraded
-                                   : obs::TraceOutcome::kServedFull);
   return results;
 }
 

@@ -221,11 +221,12 @@ class ExplainableProxy {
   Status Record(const Instance& x, Label y);
 
   /// Relative key for a recorded (instance, prediction) against the
-  /// current context. Never touches the model, so it works at every rung
-  /// of the degradation ladder. A finite deadline bounds the key search;
-  /// on expiry the result is valid but `degraded` (non-minimal key). The
-  /// key is also flagged `degraded` when any shard is quarantined: the
-  /// answer is honest about being computed from an incomplete context.
+  /// current context: ExplainBatch of one item, traced as "explain". Never
+  /// touches the model, so it works at every rung of the degradation
+  /// ladder. A finite deadline bounds the key search; on expiry the result
+  /// is valid but `degraded` (non-minimal key). The key is also flagged
+  /// `degraded` when any shard is quarantined: the answer is honest about
+  /// being computed from an incomplete context.
   Result<KeyResult> Explain(const Instance& x, Label y,
                             const Deadline& deadline = {}) const;
 
@@ -333,6 +334,11 @@ class ExplainableProxy {
   /// rejects in cce_validation_rejects_total. Lock-free.
   /// `check_label` = false for Predict, whose label comes from the model.
   Status ValidateRequest(const Instance& x, Label y, bool check_label) const;
+
+  /// The one Explain implementation behind Explain and ExplainBatch; `op`
+  /// (a string literal) names the trace.
+  std::vector<Result<KeyResult>> ExplainItems(
+      const std::vector<BatchQuery>& items, const char* op) const;
 
   /// Routes (x, y) to its shard, appends it there (WAL first), then
   /// enforces the global capacity. `x` must already be validated.

@@ -11,6 +11,7 @@
 #include "core/counterfactual.h"
 #include "core/dataset.h"
 #include "core/key_result.h"
+#include "core/srk.h"
 #include "obs/metrics.h"
 #include "serving/context_shard.h"
 
@@ -48,11 +49,7 @@ Result<KeyResult> SearchKey(const Context& context, const Instance& x,
                             const ReadPath& path);
 
 /// One item of a batched key search: (x, y) plus that item's own deadline.
-struct BatchQuery {
-  Instance x;
-  Label y = 0;
-  Deadline deadline;
-};
+using BatchQuery = Srk::BatchItem;
 
 /// Closest counterfactual witnesses for (x, y) against `context`.
 Result<std::vector<RelativeCounterfactual>> SearchCounterfactuals(

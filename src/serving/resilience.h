@@ -259,8 +259,9 @@ struct HealthSnapshot {
   uint64_t cache_revalidations = 0;
   uint64_t cache_revalidation_failures = 0;
   uint64_t cache_served_explains = 0;
-  /// Amortized batch Explain: shared-build executions and the items they
-  /// answered (items / executions = the achieved amortization factor).
+  /// Live key-search executions, scalar Explains included (one item each),
+  /// and the items they answered (items / executions = the achieved
+  /// amortization factor).
   uint64_t batch_executions = 0;
   uint64_t batch_items = 0;
 

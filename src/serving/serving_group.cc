@@ -313,58 +313,57 @@ Result<ServingGroup::ExplainResult> ServingGroup::FinishExplain(
 
 Result<ServingGroup::ExplainResult> ServingGroup::Explain(
     const Instance& x, Label y, const Deadline& deadline) {
-  obs::RequestTrace trace(traces_.get(), "group_explain");
+  return std::move(
+      ExplainItems({BatchQuery{x, y, deadline}}, "group_explain").front());
+}
+
+std::vector<Result<ServingGroup::ExplainResult>> ServingGroup::ExplainBatch(
+    const std::vector<BatchQuery>& items) {
+  return ExplainItems(items, "group_explain_batch");
+}
+
+std::vector<Result<ServingGroup::ExplainResult>> ServingGroup::ExplainItems(
+    const std::vector<BatchQuery>& items, const char* op) {
+  if (items.empty()) return {};
+  obs::RequestTrace trace(traces_.get(), op);
   obs::ScopedLatency latency(registry_.get(), explain_latency_us_);
   const std::vector<size_t> order = RouteOrder();
   if (order.empty()) {
-    errors_->Increment();
+    errors_->Add(items.size());
     trace.set_outcome(obs::TraceOutcome::kBroke);
     trace.set_detail("no routable backend");
-    return Status::Unavailable("serving group: no routable backend");
+    return std::vector<Result<ExplainResult>>(
+        items.size(),
+        Status::Unavailable("serving group: no routable backend"));
   }
   // The fence: the freshest view the preferred backend promised at entry.
   // No secondary answer may serve non-degraded from behind it.
   const uint64_t fence_seq = BackendSeq(order[0]);
-
-  const bool can_hedge = options_.hedge && hedge_pool_ != nullptr &&
-                         policy() != RoutePolicy::kLeaderOnly &&
-                         order.size() > 1;
-  if (!can_hedge) {
-    // Synchronous sequential failover down the route order.
-    Status last = Status::Unavailable("serving group: all breakers open");
-    for (size_t pos = 0; pos < order.size(); ++pos) {
-      const size_t index = order[pos];
-      if (!AdmitBackend(index)) {
-        if (pos + 1 < order.size()) failovers_->Increment();
-        continue;
-      }
-      Attempt attempt = CallBackend(index, x, y, deadline);
-      if (attempt.result.ok() ||
-          attempt.result.status().code() == StatusCode::kInvalidArgument) {
-        ApplyFence(&attempt, fence_seq, /*hedged=*/pos > 0);
-        return FinishExplain(trace, std::move(attempt), /*hedged=*/false,
-                             /*hedge_won=*/false);
-      }
-      last = attempt.result.status();
-      if (pos + 1 < order.size()) failovers_->Increment();
-    }
-    errors_->Increment();
-    trace.set_outcome(obs::TraceOutcome::kError);
-    trace.set_detail(last.ToString());
-    return last;
+  // Only a lone item can race a hedge: a batch has no single answer to
+  // take from whichever backend is first. Under kLeaderOnly the route
+  // order holds at most the leader, so hedging is off there too.
+  if (items.size() == 1 && options_.hedge && hedge_pool_ != nullptr &&
+      order.size() > 1) {
+    std::vector<Result<ExplainResult>> results;
+    results.push_back(HedgedExplain(trace, order, fence_seq, items.front()));
+    return results;
   }
+  return Dispatch(trace, order, fence_seq, items);
+}
 
+Result<ServingGroup::ExplainResult> ServingGroup::HedgedExplain(
+    obs::RequestTrace& trace, const std::vector<size_t>& order,
+    uint64_t fence_seq, const BatchQuery& item) {
   auto state = std::make_shared<HedgeState>();
   auto submit = [&](int slot, size_t index) {
-    hedge_pool_->Submit([this, state, slot, index, x, y, deadline] {
-      Attempt attempt = CallBackend(index, x, y, deadline);
+    hedge_pool_->Submit([this, state, slot, index, item] {
+      Attempt attempt = CallBackend(index, item.x, item.y, item.deadline);
       std::lock_guard<std::mutex> lock(state->mu);
       state->attempts[slot] = std::move(attempt);
       ++state->completed;
       state->cv.notify_all();
     });
   };
-
   size_t primary_pos = 0;
   while (primary_pos < order.size() && !AdmitBackend(order[primary_pos])) {
     failovers_->Increment();
@@ -381,7 +380,7 @@ Result<ServingGroup::ExplainResult> ServingGroup::Explain(
   submit(0, primary);
 
   // Give the primary its head start.
-  const std::chrono::milliseconds delay = HedgeDelay(primary, deadline);
+  const std::chrono::milliseconds delay = HedgeDelay(primary, item.deadline);
   {
     std::unique_lock<std::mutex> lock(state->mu);
     state->cv.wait_for(lock, delay,
@@ -486,24 +485,9 @@ Result<ServingGroup::ExplainResult> ServingGroup::Explain(
                        /*hedge_won=*/secondary_won && fired_as_hedge);
 }
 
-std::vector<Result<ServingGroup::ExplainResult>> ServingGroup::ExplainBatch(
-    const std::vector<BatchQuery>& items) {
-  std::vector<Result<ExplainResult>> results(
-      items.size(), Result<ExplainResult>(Status::Unavailable(
-                        "serving group: no routable backend")));
-  if (items.empty()) return results;
-  obs::RequestTrace trace(traces_.get(), "group_explain_batch");
-  obs::ScopedLatency latency(registry_.get(), explain_latency_us_);
-  const std::vector<size_t> order = RouteOrder();
-  if (order.empty()) {
-    errors_->Add(items.size());
-    trace.set_outcome(obs::TraceOutcome::kBroke);
-    trace.set_detail("no routable backend");
-    return results;
-  }
-  // Same fence as Explain(): the freshest view the preferred backend
-  // promised at entry bounds every item in the batch.
-  const uint64_t fence_seq = BackendSeq(order[0]);
+std::vector<Result<ServingGroup::ExplainResult>> ServingGroup::Dispatch(
+    obs::RequestTrace& trace, const std::vector<size_t>& order,
+    uint64_t fence_seq, const std::vector<BatchQuery>& items) {
   Status last = Status::Unavailable("serving group: all breakers open");
   for (size_t pos = 0; pos < order.size(); ++pos) {
     const size_t index = order[pos];
@@ -511,6 +495,7 @@ std::vector<Result<ServingGroup::ExplainResult>> ServingGroup::ExplainBatch(
       if (pos + 1 < order.size()) failovers_->Increment();
       continue;
     }
+    // Watermark samples around the call, as in CallBackend.
     const uint64_t before = BackendSeq(index);
     const auto start = registry_->now();
     if (options_.explain_interceptor) options_.explain_interceptor(index);
@@ -530,73 +515,50 @@ std::vector<Result<ServingGroup::ExplainResult>> ServingGroup::ExplainBatch(
         std::chrono::duration_cast<std::chrono::microseconds>(
             registry_->now() - start)
             .count();
-    const uint64_t after = BackendSeq(index);
-    const uint64_t view_seq = std::min(before, after);
-    // Breaker verdict for the whole dispatch: the backend failed only when
-    // it served no item and at least one failure was the backend's fault
-    // (client errors — kInvalidArgument — never are).
-    bool any_ok = false;
-    bool any_backend_error = false;
-    Status first_backend_error = Status::Ok();
+    const uint64_t view_seq = std::min(before, BackendSeq(index));
+    // The breaker's verdict on the whole dispatch: a success when any item
+    // was served, else the first failure that was the backend's fault.
+    // When every item was a client error (kInvalidArgument) the verdict is
+    // that error, which neither trips nor heals the breaker.
+    Status verdict = keys.front().status();
     for (const Result<KeyResult>& key : keys) {
       if (key.ok()) {
-        any_ok = true;
-      } else if (key.status().code() != StatusCode::kInvalidArgument) {
-        if (!any_backend_error) first_backend_error = key.status();
-        any_backend_error = true;
+        verdict = Status::Ok();
+        break;
+      }
+      if (verdict.code() == StatusCode::kInvalidArgument) {
+        verdict = key.status();
       }
     }
-    const bool backend_failed = !any_ok && any_backend_error;
-    RecordOutcome(index,
-                  backend_failed ? first_backend_error : Status::Ok(),
-                  micros);
-    if (backend_failed) {
-      last = first_backend_error;
+    RecordOutcome(index, verdict, micros);
+    if (!verdict.ok() && verdict.code() != StatusCode::kInvalidArgument) {
+      last = verdict;
       if (pos + 1 < order.size()) failovers_->Increment();
       continue;
     }
-    bool any_error = false;
-    bool any_degraded = false;
-    for (size_t i = 0; i < items.size(); ++i) {
+    std::vector<Result<ExplainResult>> results;
+    results.reserve(items.size());
+    obs::TraceOutcome worst = obs::TraceOutcome::kServedFull;
+    for (Result<KeyResult>& key : keys) {
       Attempt attempt;
-      attempt.backend = index;
+      attempt.result = std::move(key);
       attempt.view_seq = view_seq;
-      attempt.result = std::move(keys[i]);
+      attempt.backend = index;
       attempt.done = true;
-      if (!attempt.result.ok()) {
-        errors_->Increment();
-        any_error = true;
-        results[i] = attempt.result.status();
-        continue;
-      }
       ApplyFence(&attempt, fence_seq, /*hedged=*/pos > 0);
-      ExplainResult out;
-      out.key = std::move(attempt.result.value());
-      out.backend = index;
-      out.view_seq = view_seq;
-      out.hedged = false;
-      if (out.key.degraded) {
-        degraded_serves_->Increment();
-        any_degraded = true;
-      } else {
-        uint64_t floor = served_floor_.load(std::memory_order_relaxed);
-        while (floor < view_seq &&
-               !served_floor_.compare_exchange_weak(
-                   floor, view_seq, std::memory_order_relaxed)) {
-        }
-      }
-      results[i] = std::move(out);
+      results.push_back(FinishExplain(trace, std::move(attempt),
+                                      /*hedged=*/false, /*hedge_won=*/false));
+      // FinishExplain traced this item alone; the dispatch keeps the worst
+      // (TraceOutcome orders served_full < degraded < error).
+      worst = std::max(worst, trace.outcome());
     }
-    trace.set_outcome(any_error      ? obs::TraceOutcome::kError
-                      : any_degraded ? obs::TraceOutcome::kDegraded
-                                     : obs::TraceOutcome::kServedFull);
+    trace.set_outcome(worst);
     return results;
   }
   errors_->Add(items.size());
   trace.set_outcome(obs::TraceOutcome::kError);
   trace.set_detail(last.ToString());
-  for (Result<ExplainResult>& result : results) result = last;
-  return results;
+  return std::vector<Result<ExplainResult>>(items.size(), last);
 }
 
 Result<Label> ServingGroup::Predict(const Instance& x,

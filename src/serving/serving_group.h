@@ -46,10 +46,11 @@ const char* RoutePolicyName(RoutePolicy policy);
 /// ReplicaProxy followers behind the proxy's Predict/Record/Explain/
 /// Counterfactuals surface. The group routes reads by backend health
 /// (Health() probes + a per-backend CircuitBreaker), fails over when the
-/// preferred backend is broken, and *hedges* slow Explains: when the
+/// preferred backend is broken, and *hedges* slow lone Explains: when the
 /// preferred backend has not answered within a per-backend p95-tracked
 /// delay, the same request is fired at the next-healthiest backend and the
-/// first acceptable answer wins.
+/// first acceptable answer wins. Explain is ExplainBatch of one item; a
+/// batch of several is dispatched to one backend at a time.
 ///
 /// The bit-identical-keys contract survives hedging by watermark fencing
 /// on PublishedSequence(): every answer reports the published sequence of
@@ -184,20 +185,25 @@ class ServingGroup {
   Result<Label> Predict(const Instance& x, const Deadline& deadline = {});
   Status Record(const Instance& x, Label y);
 
-  /// Routed, breaker-guarded, optionally hedged Explain. kUnavailable
-  /// when no backend is routable (all evicted or broken).
+  /// Routed, breaker-guarded, optionally hedged Explain: ExplainBatch of
+  /// one item, traced as "group_explain". kUnavailable when no backend is
+  /// routable (all evicted or broken).
   Result<ExplainResult> Explain(const Instance& x, Label y,
                                 const Deadline& deadline = {});
 
   /// Routed batch Explain: one routing decision and one backend dispatch
-  /// answers every item. On the leader the items run as a shared-build
-  /// ExplainableProxy::ExplainBatch (one fused bitmap build); on a replica
-  /// they run item-by-item against a single routed view. Never hedged.
-  /// Results are positional — result i answers items[i] — and item
-  /// failures are individual: per-item deadlines and degradation flags are
-  /// honored one by one, and the batch fails over to the next backend only
-  /// when the current one served *no* item. Watermark fencing applies to
-  /// every item exactly as in Explain().
+  /// answers every item. On the leader the items run as one
+  /// ExplainableProxy::ExplainBatch (one shared read of the shard
+  /// indexes); on a replica they run item-by-item against a single routed
+  /// view. Only a lone item is hedged (when hedging applies); a batch of
+  /// several fails over sequentially. Results are positional — result i
+  /// answers items[i] — and item failures are individual: per-item
+  /// deadlines and degradation flags are honored one by one, and the batch
+  /// fails over to the next backend only when the current one served *no*
+  /// item and at least one failure was the backend's fault. A dispatch
+  /// whose every item is a client error (kInvalidArgument) neither trips
+  /// nor heals the backend's breaker. Watermark fencing applies to every
+  /// item.
   std::vector<Result<ExplainResult>> ExplainBatch(
       const std::vector<BatchQuery>& items);
 
@@ -278,6 +284,25 @@ class ServingGroup {
   /// Breaker admission for an actual dispatch (under mu_ internally);
   /// false counts a failover.
   bool AdmitBackend(size_t index);
+
+  /// The one Explain implementation behind Explain and ExplainBatch: routes,
+  /// fences, then hands a lone hedgeable item to HedgedExplain and
+  /// everything else to Dispatch. `op` (a string literal) names the trace.
+  std::vector<Result<ExplainResult>> ExplainItems(
+      const std::vector<BatchQuery>& items, const char* op);
+
+  /// The hedge race for one item: the primary gets a head start of
+  /// HedgeDelay, then the next admissible backend races it.
+  Result<ExplainResult> HedgedExplain(obs::RequestTrace& trace,
+                                      const std::vector<size_t>& order,
+                                      uint64_t fence_seq,
+                                      const BatchQuery& item);
+
+  /// Sequential failover down `order`: one backend call answers every
+  /// item (see ExplainBatch for the failover and breaker rules).
+  std::vector<Result<ExplainResult>> Dispatch(
+      obs::RequestTrace& trace, const std::vector<size_t>& order,
+      uint64_t fence_seq, const std::vector<BatchQuery>& items);
 
   /// Runs one backend Explain and records latency + breaker outcome.
   Attempt CallBackend(size_t index, const Instance& x, Label y,

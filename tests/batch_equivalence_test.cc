@@ -183,9 +183,11 @@ TEST(BatchEquivalenceTest, ProxyBatchMatchesSerialExplains) {
     ASSERT_TRUE(batch[i].ok()) << "item " << i;
     ExpectSameKey(*serial, batch[i].value(), "item " + std::to_string(i));
   }
+  // One execution for the batch, then one per scalar Explain (a batch of
+  // one).
   serving::HealthSnapshot health = (*proxy)->Health();
-  EXPECT_EQ(health.batch_executions, 1u);
-  EXPECT_EQ(health.batch_items, items.size());
+  EXPECT_EQ(health.batch_executions, 1u + items.size());
+  EXPECT_EQ(health.batch_items, 2 * items.size());
 }
 
 TEST(BatchEquivalenceTest, BatchInvalidItemFailsAloneNotTheBatch) {

@@ -276,21 +276,116 @@ TEST(NetProtocolTest, DecoderSurvivesRandomBytes) {
   }
 }
 
-TEST(NetProtocolTest, MutatedValidFramesNeverCrashDecoders) {
-  Response seed_response;
-  seed_response.type = MessageType::kCounterfactualsResponse;
-  seed_response.witnesses.push_back({1, 0, {2, 5}});
-  seed_response.witnesses.push_back({9, 1, {0}});
-  const std::string response_frame = EncodeResponse(seed_response);
-  Request seed_request;
-  seed_request.type = MessageType::kExplainRequest;
-  seed_request.instance = {1, 2, 3, 4};
-  const std::string request_frame = EncodeRequest(seed_request);
+/// One valid frame of every request and response type, BATCH_EXPLAIN
+/// included: a 3-item request, and a response holding one OK item with a
+/// key and one shed item with a retry_after_ms hint.
+std::vector<std::string> EveryFrame() {
+  std::vector<std::string> frames;
+  for (MessageType type :
+       {MessageType::kPredictRequest, MessageType::kRecordRequest,
+        MessageType::kExplainRequest, MessageType::kCounterfactualsRequest}) {
+    Request request;
+    request.type = type;
+    request.request_id = 40 + static_cast<uint8_t>(type);
+    request.deadline_ms = 25;
+    request.label = 1;
+    request.instance = {1, 2, 3, 4};
+    frames.push_back(EncodeRequest(request));
+  }
+  Request batch;
+  batch.type = MessageType::kBatchExplainRequest;
+  batch.request_id = 50;
+  for (uint32_t i = 0; i < 3; ++i) {
+    batch.batch.push_back({/*deadline_ms=*/10 * i, /*label=*/i % 2, {i, 2, 0}});
+  }
+  frames.push_back(EncodeRequest(batch));
 
+  Response predict;
+  predict.type = MessageType::kPredictResponse;
+  predict.label = 1;
+  frames.push_back(EncodeResponse(predict));
+  Response record;
+  record.type = MessageType::kRecordResponse;
+  frames.push_back(EncodeResponse(record));
+  Response explain;
+  explain.type = MessageType::kExplainResponse;
+  explain.flags = kFlagCached | kFlagUnsatisfied;
+  explain.achieved_alpha = 0.75;
+  explain.view_seq = 99;
+  explain.backend = 1;
+  explain.key = {0, 3};
+  frames.push_back(EncodeResponse(explain));
+  Response witnesses;
+  witnesses.type = MessageType::kCounterfactualsResponse;
+  witnesses.witnesses.push_back({1, 0, {2, 5}});
+  witnesses.witnesses.push_back({9, 1, {0}});
+  frames.push_back(EncodeResponse(witnesses));
+  Response error;
+  error.type = MessageType::kErrorResponse;
+  error.status = WireStatus::kInvalidArgument;
+  error.message = "malformed request body";
+  frames.push_back(EncodeResponse(error));
+  Response batch_response;
+  batch_response.type = MessageType::kBatchExplainResponse;
+  Response::BatchExplainItem served;
+  served.flags = kFlagDegraded;
+  served.achieved_alpha = 0.5;
+  served.view_seq = 7;
+  served.key = {1, 2, 6};
+  batch_response.batch.push_back(served);
+  Response::BatchExplainItem shed;
+  shed.status = WireStatus::kResourceExhausted;
+  shed.retry_after_ms = 12;
+  shed.message = "overload: admission queue full";
+  batch_response.batch.push_back(shed);
+  frames.push_back(EncodeResponse(batch_response));
+  return frames;
+}
+
+/// Decodes `body` (`body_len` bytes) as the type in `header`; on success
+/// re-encodes it into `*reencoded`.
+Status DecodeBody(const FrameHeader& header, const uint8_t* body,
+                  std::string* reencoded) {
+  if (IsRequestType(static_cast<MessageType>(header.type))) {
+    Request request;
+    Status status = DecodeRequestBody(header, body, &request);
+    if (status.ok()) *reencoded = EncodeRequest(request);
+    return status;
+  }
+  Response response;
+  Status status = DecodeResponseBody(header, body, &response);
+  if (status.ok()) *reencoded = EncodeResponse(response);
+  return status;
+}
+
+TEST(NetProtocolTest, EveryFrameRejectsPrefixesAndRoundtrips) {
+  for (const std::string& frame : EveryFrame()) {
+    const auto* bytes = reinterpret_cast<const uint8_t*>(frame.data());
+    FrameHeader header;
+    ASSERT_TRUE(DecodeFrameHeader(bytes, frame.size(), &header).ok());
+    const char* name = MessageTypeName(static_cast<MessageType>(header.type));
+    ASSERT_NE(name, nullptr);
+    ASSERT_EQ(frame.size(), kFrameHeaderBytes + header.body_len) << name;
+    std::string reencoded;
+    ASSERT_TRUE(DecodeBody(header, bytes + kFrameHeaderBytes, &reencoded).ok())
+        << name;
+    EXPECT_EQ(reencoded, frame) << name;
+    for (uint32_t len = 0; len < header.body_len; ++len) {
+      FrameHeader prefix = header;
+      prefix.body_len = len;
+      EXPECT_FALSE(DecodeBody(prefix, bytes + kFrameHeaderBytes, &reencoded)
+                       .ok())
+          << name << " accepted a " << len << "-byte prefix of its "
+          << header.body_len << "-byte body";
+    }
+  }
+}
+
+TEST(NetProtocolTest, MutatedValidFramesNeverCrashDecoders) {
+  const std::vector<std::string> frames = EveryFrame();
   uint64_t rng = 0xBADF00D;
-  for (int iteration = 0; iteration < 20000; ++iteration) {
-    std::string frame =
-        (iteration % 2 == 0) ? request_frame : response_frame;
+  for (int iteration = 0; iteration < 40000; ++iteration) {
+    std::string frame = frames[static_cast<size_t>(iteration) % frames.size()];
     // Flip 1-4 random bytes anywhere in the frame.
     const int flips = 1 + static_cast<int>(XorShift64(&rng) % 4);
     for (int f = 0; f < flips; ++f) {

@@ -244,9 +244,18 @@ TEST(NetServerTest, QueueOverflowShedsCarryRetryAfterHint) {
   options.worker_threads = 1;
   options.max_pending = 1;
   options.overflow_retry_after = std::chrono::milliseconds(7);
-  NetStack stack(options);
+  GatedEndpoint gate;
+  NetStack stack(options, /*rows=*/120, &gate);
   NetClient client = stack.Connect();
 
+  // The only pending slot goes to a Predict held at the gate, so every
+  // Explain that arrives meanwhile overflows, however fast the host runs.
+  constexpr uint64_t kPredictId = 1000;
+  ASSERT_TRUE(
+      client.Send(stack.MakeRequest(MessageType::kPredictRequest, kPredictId,
+                                    /*row=*/0))
+          .ok());
+  gate.WaitEntered();
   constexpr size_t kBatch = 64;
   for (size_t i = 0; i < kBatch; ++i) {
     ASSERT_TRUE(
@@ -254,36 +263,64 @@ TEST(NetServerTest, QueueOverflowShedsCarryRetryAfterHint) {
             .Send(stack.MakeRequest(MessageType::kExplainRequest, i, i % 100))
             .ok());
   }
-  size_t ok = 0;
-  size_t shed = 0;
   for (size_t i = 0; i < kBatch; ++i) {
     auto response = client.Receive();
     ASSERT_TRUE(response.ok()) << response.status().ToString();
-    if (response->status == WireStatus::kOk) {
-      ++ok;
-    } else {
-      ASSERT_EQ(response->status, WireStatus::kResourceExhausted);
-      EXPECT_EQ(response->retry_after_ms, 7u);
-      ++shed;
-    }
+    ASSERT_EQ(response->status, WireStatus::kResourceExhausted);
+    EXPECT_EQ(response->retry_after_ms, 7u);
   }
-  // With one pending slot and the whole batch decoded in a tick, some
-  // requests execute and some overflow — both outcomes at the wire.
-  EXPECT_GE(ok, 1u);
-  EXPECT_GE(shed, 1u);
-  EXPECT_EQ(ok + shed, kBatch);
+  gate.Release();
+  auto predicted = client.Receive();
+  ASSERT_TRUE(predicted.ok()) << predicted.status().ToString();
+  EXPECT_EQ(predicted->request_id, kPredictId);
+  EXPECT_EQ(predicted->status, WireStatus::kOk);
+  // The slot is free again once its answer is out: the next Explain runs.
+  auto explained = client.Call(
+      stack.MakeRequest(MessageType::kExplainRequest, kBatch, /*row=*/0));
+  ASSERT_TRUE(explained.ok()) << explained.status().ToString();
+  EXPECT_EQ(explained->status, WireStatus::kOk);
+  EXPECT_EQ(stack.server->GetStats().sheds, kBatch);
 }
 
-TEST(NetServerTest, DeadlineFloodProducesDeadlineResponses) {
+uint64_t CounterTotal(const obs::Registry& registry, const std::string& name,
+                      const obs::Labels& labels = {}) {
+  uint64_t total = 0;
+  for (const auto& family : registry.Collect()) {
+    if (family.name != name) continue;
+    for (const auto& sample : family.samples) {
+      if (labels.empty() || sample.labels == labels) {
+        total += static_cast<uint64_t>(sample.value);
+      }
+    }
+  }
+  return total;
+}
+
+/// The deadline flood at one micro-batch size: 48 Explains with a 1 ms
+/// budget, plus a BATCH_EXPLAIN frame of 1 ms items, queue behind a Predict
+/// held at the gate. Every item has expired by the time a worker takes it,
+/// so each must come back kDeadlineExceeded — answered before wire
+/// admission, which neither admits nor sheds anything — even though the
+/// controller already has a latency estimate that would shed an expired
+/// batch as unmeetable.
+void RunDeadlineFlood(size_t max_explain_batch) {
   NetServer::Options options;
   options.worker_threads = 1;
-  // Pin the scalar path: micro-batching exists precisely to absorb this
-  // flood within its deadlines (BatchedFloodMeetsDeadlines below), so the
-  // per-request expiry behaviour needs batching off to surface.
-  options.max_explain_batch = 1;
+  options.max_explain_batch = max_explain_batch;
   GatedEndpoint gate;
   NetStack stack(options, /*rows=*/120, &gate);
   NetClient client = stack.Connect();
+  // Warm-up: one completed Explain gives the wire controller a latency
+  // estimate.
+  auto warm = client.Call(
+      stack.MakeRequest(MessageType::kExplainRequest, 2000, /*row=*/0));
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  ASSERT_EQ(warm->status, WireStatus::kOk);
+  const obs::Registry& registry = stack.server->registry();
+  const uint64_t admitted_before =
+      CounterTotal(registry, "cce_admitted_total", {{"class", "explain"}});
+  const uint64_t shed_before = CounterTotal(registry, "cce_shed_total");
+
   // Occupy the only worker with a Predict held at the gate: the flood
   // queues behind it, so every 1 ms budget runs out before a worker can
   // take the request, however fast the host searches.
@@ -300,27 +337,60 @@ TEST(NetServerTest, DeadlineFloodProducesDeadlineResponses) {
     request.deadline_ms = 1;
     ASSERT_TRUE(client.Send(request).ok());
   }
+  constexpr uint64_t kFrameId = 3000;
+  constexpr size_t kFrameItems = 3;
+  Request frame;
+  frame.type = MessageType::kBatchExplainRequest;
+  frame.request_id = kFrameId;
+  for (size_t row = 0; row < kFrameItems; ++row) {
+    Request::BatchItem item;
+    item.deadline_ms = 1;
+    item.instance = stack.data.instance(row);
+    item.label = stack.model.Predict(item.instance);
+    frame.batch.push_back(std::move(item));
+  }
+  ASSERT_TRUE(client.Send(frame).ok());
   // Deadlines start at dispatch; once every request is dispatched, wait
   // out the budget before freeing the worker.
-  while (stack.server->GetStats().requests < kBatch + 1) {
+  while (stack.server->GetStats().requests < 1 + 1 + kBatch + 1) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
   gate.Release();
   size_t expired = 0;
-  for (size_t i = 0; i < kBatch + 1; ++i) {
+  for (size_t i = 0; i < kBatch + 2; ++i) {
     auto response = client.Receive();
     ASSERT_TRUE(response.ok()) << response.status().ToString();
     if (response->request_id == kPredictId) {
       EXPECT_EQ(response->status, WireStatus::kOk);
       continue;
     }
-    EXPECT_TRUE(response->status == WireStatus::kDeadlineExceeded ||
-                response->status == WireStatus::kResourceExhausted)
+    if (response->request_id == kFrameId) {
+      EXPECT_EQ(response->status, WireStatus::kOk)
+          << WireStatusName(response->status);
+      ASSERT_EQ(response->batch.size(), kFrameItems);
+      for (const Response::BatchExplainItem& item : response->batch) {
+        EXPECT_EQ(item.status, WireStatus::kDeadlineExceeded)
+            << WireStatusName(item.status);
+      }
+      continue;
+    }
+    EXPECT_EQ(response->status, WireStatus::kDeadlineExceeded)
         << WireStatusName(response->status);
     ++expired;
   }
   EXPECT_EQ(expired, kBatch);
+  EXPECT_EQ(
+      CounterTotal(registry, "cce_admitted_total", {{"class", "explain"}}),
+      admitted_before);
+  EXPECT_EQ(CounterTotal(registry, "cce_shed_total"), shed_before);
+}
+
+TEST(NetServerTest, DeadlineFloodProducesDeadlineResponses) {
+  for (size_t max_explain_batch : {size_t{1}, size_t{16}}) {
+    SCOPED_TRACE("max_explain_batch " + std::to_string(max_explain_batch));
+    RunDeadlineFlood(max_explain_batch);
+  }
 }
 
 TEST(NetServerTest, BatchExplainFrameAnswersEveryItemPositionally) {

@@ -155,12 +155,15 @@ TEST(NetTortureTest, AdversarialClientsNeverCrashLeakOrBlock) {
 
   // Well-behaved client trading pipelined batches throughout the attack:
   // its exchanges completing proves the attackers never block the tick.
+  // It keeps going after `stop_background` until one exchange has
+  // completed (or failed), so a fast attack loop cannot leave it with none.
   std::atomic<bool> stop_background{false};
   std::atomic<uint64_t> background_ok{0};
   std::atomic<uint64_t> background_errors{0};
   std::thread background([&] {
     uint64_t id = 1 << 20;
-    while (!stop_background.load()) {
+    while (!stop_background.load() ||
+           (background_ok.load() == 0 && background_errors.load() == 0)) {
       auto client = stack.Connect();
       if (!client.ok()) {
         ++background_errors;

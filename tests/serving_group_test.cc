@@ -309,6 +309,100 @@ TEST(ServingGroupTest, BreakerOpensOnPersistentBackendFailure) {
   EXPECT_EQ(shed.status().code(), StatusCode::kUnavailable);
 }
 
+TEST(ServingGroupTest, LoneBatchItemIsHedgedLikeAScalarExplain) {
+  GroupStack stack("group_batch_hedge");
+  ServingGroup::Options options;
+  options.hedge_min_delay = std::chrono::milliseconds(1);
+  options.hedge_max_delay = std::chrono::milliseconds(2);
+  options.explain_interceptor = [](size_t backend) {
+    if (backend == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(60));
+    }
+  };
+  auto group = stack.MakeGroup(options);
+  group->RefreshProbes();
+
+  auto expected =
+      stack.leader->Explain(stack.data.instance(5), stack.data.label(5));
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  const std::vector<BatchQuery> items = {
+      {stack.data.instance(5), stack.data.label(5), Deadline::Infinite()}};
+  auto results = group->ExplainBatch(items);
+  ASSERT_EQ(results.size(), 1u);
+  ASSERT_TRUE(results[0].ok()) << results[0].status().ToString();
+  EXPECT_EQ(results[0]->backend, 1u);
+  EXPECT_TRUE(results[0]->hedged);
+  EXPECT_FALSE(results[0]->key.degraded);
+  ExpectSameKey(results[0]->key, *expected);
+  EXPECT_GE(group->Health().hedge_wins, 1u);
+}
+
+TEST(ServingGroupTest, BatchFailsOverToReplicaWhenLeaderEvicted) {
+  GroupStack stack("group_batch_failover");
+  ServingGroup::Options options;
+  auto group = stack.MakeGroup(options);
+  group->EvictBackend(0);
+  group->RefreshProbes();
+
+  std::vector<BatchQuery> items;
+  for (size_t row = 0; row < 5; ++row) {
+    items.push_back({stack.data.instance(row), stack.data.label(row),
+                     Deadline::Infinite()});
+  }
+  auto results = group->ExplainBatch(items);
+  ASSERT_EQ(results.size(), items.size());
+  for (size_t i = 0; i < items.size(); ++i) {
+    auto expected = stack.leader->Explain(items[i].x, items[i].y);
+    ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+    ASSERT_TRUE(results[i].ok()) << i << ": " << results[i].status().ToString();
+    EXPECT_EQ(results[i]->backend, 1u) << i;
+    EXPECT_FALSE(results[i]->hedged) << i;
+    EXPECT_FALSE(results[i]->key.degraded) << i;
+    EXPECT_EQ(results[i]->view_seq, stack.leader->PublishedSequence()) << i;
+    ExpectSameKey(results[i]->key, *expected);
+  }
+  EXPECT_EQ(group->Health().hedges, 0u);
+}
+
+TEST(ServingGroupTest, AllMalformedBatchLeavesHalfOpenBreakerHalfOpen) {
+  // An empty leader fails every Explain with kFailedPrecondition: one
+  // failure trips its breaker, and after the cooldown the next dispatch is
+  // a half-open probe. A probe whose every item is malformed says nothing
+  // about the backend, so it must neither close nor re-open the breaker.
+  Dataset data = cce::testing::RandomContext(64, 4, 3, 13, /*noise=*/0.1);
+  ExplainableProxy::Options leader_options;
+  leader_options.monitor_drift = false;
+  auto leader_or =
+      ExplainableProxy::Create(data.schema_ptr(), nullptr, leader_options);
+  CCE_CHECK_OK(leader_or.status());
+  auto now = std::chrono::steady_clock::time_point{};
+  ServingGroup::Options options;
+  options.policy = RoutePolicy::kLeaderOnly;
+  options.breaker.failure_threshold = 1;
+  options.breaker.successes_to_close = 1;
+  options.clock = [&now] { return now; };
+  auto group_or = ServingGroup::Create((*leader_or).get(), {}, options);
+  CCE_CHECK_OK(group_or.status());
+  ServingGroup& group = **group_or;
+
+  auto failed = group.Explain(data.instance(0), data.label(0));
+  EXPECT_EQ(failed.status().code(), StatusCode::kFailedPrecondition);
+  ASSERT_EQ(group.Health().backends[0].breaker,
+            CircuitBreaker::State::kOpen);
+
+  now += options.breaker.open_cooldown;
+  const std::vector<BatchQuery> malformed = {
+      {Instance(2), data.label(0), Deadline::Infinite()},
+      {Instance(7), data.label(1), Deadline::Infinite()}};
+  auto results = group.ExplainBatch(malformed);
+  ASSERT_EQ(results.size(), malformed.size());
+  for (const auto& result : results) {
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(group.Health().backends[0].breaker,
+            CircuitBreaker::State::kHalfOpen);
+}
+
 TEST(ServingGroupTest, HealthReflectsEvictionAndFreshness) {
   GroupStack stack("group_health");
   ServingGroup::Options options;

@@ -330,12 +330,19 @@ TEST(ShardIndexTest, RecordRacingExplainStaysExactOnceQuiesced) {
     CCE_CHECK_OK((*proxy)->Record(data.instance(row), data.label(row)));
   }
 
+  // Each shard holds about a quarter of the 128-row window and compacts
+  // once 64 of its rows have been evicted. The writers record at least
+  // kMinRecords rows each before they honour `stop`, so every shard slides
+  // past that threshold several times over however the readers race them.
+  constexpr size_t kMinRecords = 1024;
   std::atomic<bool> stop{false};
   std::vector<std::thread> writers;
   for (int t = 0; t < 2; ++t) {
     writers.emplace_back([&, t] {
       Rng rng(100 + t);
-      while (!stop.load(std::memory_order_relaxed)) {
+      for (size_t recorded = 0;
+           recorded < kMinRecords || !stop.load(std::memory_order_relaxed);
+           ++recorded) {
         const size_t row = rng.Uniform(data.size());
         CCE_CHECK_OK((*proxy)->Record(data.instance(row), data.label(row)));
       }
