@@ -5,15 +5,16 @@
 // scalar-Explain micro-batching knob:
 //
 //   per_request — max_explain_batch = 1: each drain takes one queued
-//   EXPLAIN_REQUEST, a batch of one (one admission charge, one bitmap
-//   build per key).
+//   EXPLAIN_REQUEST, a batch of one (one admission charge, one read of
+//   the shard indexes per key).
 //
 //   batched — max_explain_batch = 16 (the default): workers drain the
-//   queue in groups and answer each group with one shared-build
-//   Srk::ExplainBatch — one admission charge and one bitmap build per
-//   GROUP, so queue depth under the flood becomes batch throughput
-//   instead of sheds. Keys are bit-identical to the serial path
-//   (tests/batch_equivalence_test.cc), so the speedup is free.
+//   queue in groups and answer each group with one
+//   ExplainableProxy::ExplainBatch — one admission charge and one read of
+//   the shard indexes per GROUP, so queue depth under the flood becomes
+//   batch throughput instead of sheds. Keys are bit-identical to the
+//   serial path (tests/batch_equivalence_test.cc), so the speedup is
+//   free.
 //
 // The acceptance criterion is the ratio: batched live keys/sec must be
 // >= 3x per-request live keys/sec under the same flood. The amortization
@@ -206,8 +207,8 @@ int Main() {
       "medians of %d 2s runs after a warm-up pass. per_request runs the "
       "server with max_explain_batch = 1 (every queued Explain executes "
       "alone); batched uses the default 16 (workers drain the queue in "
-      "groups answered by one shared-build ExplainBatch — one admission "
-      "charge and one bitmap build per group). Keys are bit-identical "
+      "groups answered by one ExplainBatch — one admission charge and "
+      "one shard-index read per group). Keys are bit-identical "
       "across the two configurations (tests/batch_equivalence_test.cc); "
       "speedup is batched/per_request live keys/sec and must clear the "
       "3x acceptance floor. amortization_factor is batch items per "

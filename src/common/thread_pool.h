@@ -70,24 +70,6 @@ class ThreadPool {
     Wait();
   }
 
-  /// Runs fn(begin, end) over fixed-size chunks of [0, count) across the
-  /// pool and waits. Unlike ParallelFor, the chunk boundaries depend only on
-  /// `chunk` — never on the pool width — so per-chunk results are identical
-  /// for any number of workers (including one). Combine per-chunk partials
-  /// in chunk order and a reduction is bit-identical across pool sizes:
-  /// that is the determinism contract the parallel conformity engine is
-  /// built on (docs/algorithms.md).
-  template <typename Fn>
-  void ParallelChunks(size_t count, size_t chunk, Fn&& fn) {
-    if (count == 0) return;
-    if (chunk == 0) chunk = 1;
-    for (size_t begin = 0; begin < count; begin += chunk) {
-      const size_t end = std::min(count, begin + chunk);
-      Submit([&fn, begin, end] { fn(begin, end); });
-    }
-    Wait();
-  }
-
  private:
   void WorkerLoop();
 

@@ -5,13 +5,11 @@
 #include <cmath>
 
 #include "common/logging.h"
-#include "common/thread_pool.h"
 
 namespace cce {
 
-BitsetConformityChecker::BitsetConformityChecker(const Context* context,
-                                                 const Options& options)
-    : context_(context), pool_(options.pool) {
+BitsetConformityChecker::BitsetConformityChecker(const Context* context)
+    : context_(context) {
   const Schema& schema = context_->schema();
   value_bits_.resize(schema.num_features());
   for (FeatureId f = 0; f < schema.num_features(); ++f) {
@@ -70,30 +68,13 @@ size_t BitsetConformityChecker::CountFused(
   const uint64_t* live = live_.data();
   const uint64_t* excl =
       exclude_label != nullptr ? exclude_label->data() : nullptr;
-  auto count_range = [&](size_t begin, size_t end) {
-    size_t count = 0;
-    for (size_t w = begin; w < end; ++w) {
-      uint64_t acc = live[w];
-      if (excl != nullptr) acc &= ~excl[w];
-      for (const uint64_t* op : ops) acc &= op[w];
-      count += std::popcount(acc);
-    }
-    return count;
-  };
-  if (pool_ == nullptr || words <= RowBitmap::kShardWords) {
-    return count_range(0, words);
-  }
-  const size_t num_shards =
-      (words + RowBitmap::kShardWords - 1) / RowBitmap::kShardWords;
-  std::vector<size_t> partial(num_shards, 0);
-  pool_->ParallelChunks(words, RowBitmap::kShardWords,
-                        [&](size_t begin, size_t end) {
-                          partial[begin / RowBitmap::kShardWords] =
-                              count_range(begin, end);
-                        });
-  shard_tasks_.fetch_add(num_shards, std::memory_order_relaxed);
   size_t count = 0;
-  for (size_t p : partial) count += p;
+  for (size_t w = 0; w < words; ++w) {
+    uint64_t acc = live[w];
+    if (excl != nullptr) acc &= ~excl[w];
+    for (const uint64_t* op : ops) acc &= op[w];
+    count += std::popcount(acc);
+  }
   return count;
 }
 

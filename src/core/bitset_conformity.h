@@ -2,7 +2,6 @@
 #define CCE_CORE_BITSET_CONFORMITY_H_
 
 #include <cstdint>
-#include <atomic>
 #include <vector>
 
 #include "core/dataset.h"
@@ -10,8 +9,6 @@
 #include "core/types.h"
 
 namespace cce {
-
-class ThreadPool;
 
 /// The blocked-bitset conformity engine: the word-parallel counterpart of
 /// ConformityChecker (docs/algorithms.md "The bitset conformity engine").
@@ -22,10 +19,7 @@ class ThreadPool;
 ///   popcount( live & ~label[y0] & AND_{f in E} value[f][x0[f]] )
 ///
 /// one streaming pass of word-AND + popcount over 64-row blocks — no sorted
-/// merges, no intermediate row lists. With a ThreadPool the word range is
-/// sharded into fixed-size blocks (RowBitmap::kShardWords) and partial
-/// popcounts are summed in shard order, so every count is identical with
-/// 0, 1 or N worker threads.
+/// merges, no intermediate row lists.
 ///
 /// Incremental maintenance (the streaming path): AddRow appends one row id
 /// (O(n) bit sets, amortised), RemoveRow clears one bit of the live mask
@@ -43,21 +37,11 @@ class ThreadPool;
 /// other, like std::vector.
 class BitsetConformityChecker {
  public:
-  struct Options {
-    /// Shards block ranges of large counts across this pool (not owned;
-    /// null = serial). The pool must not be one whose worker is the
-    /// calling thread (ThreadPool is non-reentrant).
-    ThreadPool* pool = nullptr;
-  };
-
   /// Indexes the context. `context` is not owned and must outlive the
   /// checker; AddRow may extend the checker past the context's rows (the
   /// streaming case), after which context() no longer reflects the
   /// indexed rows and only the query methods are meaningful.
-  explicit BitsetConformityChecker(const Context* context,
-                                   const Options& options);
-  explicit BitsetConformityChecker(const Context* context)
-      : BitsetConformityChecker(context, Options()) {}
+  explicit BitsetConformityChecker(const Context* context);
 
   // -- Query surface: same shape and semantics as ConformityChecker. -----
 
@@ -124,15 +108,8 @@ class BitsetConformityChecker {
   /// Rows not yet removed.
   const RowBitmap& live_bits() const { return live_; }
 
-  /// Cumulative pool tasks dispatched by sharded counts — the "shard
-  /// fanout" observability signal. 0 while everything ran serial.
-  uint64_t shard_tasks() const {
-    return shard_tasks_.load(std::memory_order_relaxed);
-  }
-
  private:
-  /// live & ~label[y0] & AND of `ops`; returns the popcount. Sharded
-  /// across the pool when the word range is large enough.
+  /// live & ~label[y0] & AND of `ops`; returns the popcount.
   size_t CountFused(const std::vector<const uint64_t*>& ops,
                     const RowBitmap* exclude_label) const;
 
@@ -145,7 +122,6 @@ class BitsetConformityChecker {
   void EnsureCapacity(size_t rows);
 
   const Context* context_;  // not owned
-  ThreadPool* pool_;        // not owned; may be null
 
   // value_bits_[f][v] = rows with context value v for feature f. Inner
   // vectors grow on demand when a row carries a value beyond the interned
@@ -157,8 +133,6 @@ class BitsetConformityChecker {
   size_t capacity_rows_ = 0;  // current bitmap length
   size_t next_row_ = 0;       // next row id to allocate
   size_t live_rows_ = 0;      // popcount(live_), tracked incrementally
-
-  mutable std::atomic<uint64_t> shard_tasks_{0};
 };
 
 }  // namespace cce

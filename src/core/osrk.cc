@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/logging.h"
-#include "common/thread_pool.h"
 
 namespace cce {
 
@@ -51,35 +50,6 @@ bool Osrk::satisfied() const {
 void Osrk::AddFeatureToKey(FeatureId feature) {
   if (FeatureSetContains(key_, feature)) return;
   FeatureSetInsert(&key_, feature);
-  // Fixed chunk size so chunk boundaries never depend on the pool width;
-  // concatenating per-chunk survivors in chunk order then reproduces the
-  // serial filter's output exactly (the determinism contract).
-  constexpr size_t kFilterChunk = 1024;
-  if (options_.parallel_conformity && options_.pool != nullptr &&
-      violators_.size() > 2 * kFilterChunk) {
-    const size_t count = violators_.size();
-    const size_t num_chunks = (count + kFilterChunk - 1) / kFilterChunk;
-    std::vector<std::vector<Instance>> parts(num_chunks);
-    options_.pool->ParallelChunks(
-        count, kFilterChunk, [&](size_t begin, size_t end) {
-          std::vector<Instance>& part = parts[begin / kFilterChunk];
-          part.reserve(end - begin);
-          for (size_t i = begin; i < end; ++i) {
-            if (violators_[i][feature] == x0_[feature]) {
-              part.push_back(std::move(violators_[i]));
-            }
-          }
-        });
-    size_t total = 0;
-    for (const auto& part : parts) total += part.size();
-    std::vector<Instance> surviving;
-    surviving.reserve(total);
-    for (auto& part : parts) {
-      for (Instance& v : part) surviving.push_back(std::move(v));
-    }
-    violators_ = std::move(surviving);
-    return;
-  }
   std::vector<Instance> surviving;
   surviving.reserve(violators_.size());
   for (Instance& v : violators_) {

@@ -12,8 +12,6 @@
 
 namespace cce {
 
-class ThreadPool;
-
 /// Algorithm OSRK (paper Algorithm 2): randomized online maintenance of an
 /// alpha-conformant relative key for a fixed instance x0 as the context I
 /// grows one inference instance at a time.
@@ -26,15 +24,6 @@ class Osrk {
   struct Options {
     double alpha = 1.0;
     uint64_t seed = 42;
-    /// Filters the active-violator set in parallel when a feature joins the
-    /// key. The filter is chunk-order-preserving and the rng consumption
-    /// sequence is untouched, so the maintained keys are bit-identical to
-    /// the serial path for the same seed (determinism contract,
-    /// tests/conformity_parallel_test.cc).
-    bool parallel_conformity = false;
-    /// Pool for the parallel filter (not owned); only read when
-    /// parallel_conformity is set, null keeps the filter serial.
-    ThreadPool* pool = nullptr;
   };
 
   /// Creates a monitor for (x0, y0). The context starts empty.

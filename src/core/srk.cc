@@ -6,7 +6,6 @@
 #include <limits>
 
 #include "common/logging.h"
-#include "common/thread_pool.h"
 #include "core/conformity.h"
 
 namespace cce {
@@ -55,27 +54,12 @@ size_t AndCountWords(const uint64_t* a, const uint64_t* b, size_t count) {
 /// word arrays split into disjoint parts (one part for a materialized
 /// Context, one per shard for the proxy's index read path). Every compared
 /// quantity — candidate counts, tie-break frequencies — is an exact integer
-/// summed over the parts, and the arg-min scan is serial in ascending
-/// feature order, so the key depends neither on how the rows are split
-/// into parts nor on `pool`, which shards only the candidate counting.
+/// summed over the parts, and the arg-min scan runs in ascending feature
+/// order, so the key does not depend on how the rows are split into parts.
 KeyResult RunBitsetGreedy(const std::vector<BitsetPart>& parts, size_t n,
                           size_t context_size, size_t tolerated,
-                          const Deadline& deadline, ThreadPool* pool,
-                          Srk::EngineStats* stats) {
+                          const Deadline& deadline) {
   KeyResult result;
-
-  // Runs fn(f) for every feature, across the pool when one is configured.
-  // Each task stays serial inside (no nested pool use: non-reentrant).
-  auto for_each_feature = [&](auto&& fn) {
-    if (pool == nullptr) {
-      for (FeatureId f = 0; f < n; ++f) fn(f);
-    } else {
-      pool->ParallelFor(n, [&](size_t f) { fn(static_cast<FeatureId>(f)); });
-      if (stats != nullptr) {
-        stats->shard_tasks.fetch_add(n, std::memory_order_relaxed);
-      }
-    }
-  };
 
   // Same sampled tie-break frequencies as the reference loop: a prefix
   // popcount of A_f is the integer the sampled row scan produces.
@@ -115,26 +99,20 @@ KeyResult RunBitsetGreedy(const std::vector<BitsetPart>& parts, size_t n,
     return result;
   };
 
-  std::vector<size_t> counts(n, 0);
   while (violator_count > tolerated) {
     if (bounded && deadline.expired()) return finish_degraded();
-    for_each_feature([&](FeatureId f) {
-      if (in_key[f]) return;
-      size_t count = 0;
-      for (const BitsetPart& part : parts) {
-        count += AndCountWords(part.block, AgreeWords(part, f), part.words);
-      }
-      counts[f] = count;
-    });
     FeatureId best_feature = 0;
     size_t best_count = std::numeric_limits<size_t>::max();
     size_t best_frequency = 0;
     for (FeatureId f = 0; f < n; ++f) {
       if (in_key[f]) continue;
-      if (counts[f] < best_count ||
-          (counts[f] == best_count &&
-           value_frequency[f] > best_frequency)) {
-        best_count = counts[f];
+      size_t count = 0;
+      for (const BitsetPart& part : parts) {
+        count += AndCountWords(part.block, AgreeWords(part, f), part.words);
+      }
+      if (count < best_count ||
+          (count == best_count && value_frequency[f] > best_frequency)) {
+        best_count = count;
         best_feature = f;
         best_frequency = value_frequency[f];
       }
@@ -166,108 +144,31 @@ KeyResult RunBitsetGreedy(const std::vector<BitsetPart>& parts, size_t n,
 
 /// The bitset engine over a materialized context: for a fixed x0 the greedy
 /// only reads the (f, x0[f]) slice of the (feature, value) bitmap family,
-/// so only that slice is built — per item one BitsetPart block holding
-/// V (label != y0) and A_f (value of f == x0[f]) over every context row.
-/// One row-major pass fills every item's block: each context row's
-/// instance pointer is chased once for the whole batch, and words are
-/// accumulated locally, one store per 64 rows per array. Chunks write
-/// disjoint word ranges, so the build is positional — identical bits at any
-/// pool width, including none.
-std::vector<uint64_t> BuildBlocks(const Context& context,
-                                  const std::vector<Srk::BatchItem>& items,
-                                  ThreadPool* pool, Srk::EngineStats* stats) {
+/// so only that slice is built — one BitsetPart block holding V (label !=
+/// y0) and A_f (value of f == x0[f]) over every context row. Words are
+/// accumulated locally, one store per 64 rows per array.
+std::vector<uint64_t> BuildBlock(const Context& context, const Instance& x0,
+                                 Label y0) {
   const size_t n = context.num_features();
-  const size_t m = items.size();
   const size_t context_size = context.size();
   const size_t words = WordsFor(context_size);
-  const size_t arrays = n + 1;  // violators, then one per feature
-  std::vector<uint64_t> blocks(m * arrays * words, 0);
-
-  auto build_words = [&](size_t word_begin, size_t word_end) {
-    std::vector<uint64_t> acc(m * arrays);
-    for (size_t w = word_begin; w < word_end; ++w) {
-      std::fill(acc.begin(), acc.end(), 0);
-      const size_t row_begin = w << 6;
-      const size_t row_end = std::min(context_size, row_begin + 64);
-      for (size_t row = row_begin; row < row_end; ++row) {
-        const Instance& xr = context.instance(row);
-        const Label yr = context.label(row);
-        const uint64_t bit = uint64_t{1} << (row - row_begin);
-        for (size_t i = 0; i < m; ++i) {
-          uint64_t* item_acc = acc.data() + i * arrays;
-          if (yr != items[i].y) item_acc[0] |= bit;
-          const Instance& x0 = items[i].x;
-          for (FeatureId f = 0; f < n; ++f) {
-            if (xr[f] == x0[f]) item_acc[1 + f] |= bit;
-          }
-        }
-      }
-      for (size_t i = 0; i < m; ++i) {
-        uint64_t* block = blocks.data() + i * arrays * words;
-        for (size_t a = 0; a < arrays; ++a) {
-          block[a * words + w] = acc[i * arrays + a];
-        }
+  std::vector<uint64_t> block((n + 1) * words, 0);
+  std::vector<uint64_t> acc(n + 1);
+  for (size_t w = 0; w < words; ++w) {
+    std::fill(acc.begin(), acc.end(), 0);
+    const size_t row_begin = w << 6;
+    const size_t row_end = std::min(context_size, row_begin + 64);
+    for (size_t row = row_begin; row < row_end; ++row) {
+      const Instance& xr = context.instance(row);
+      const uint64_t bit = uint64_t{1} << (row - row_begin);
+      if (context.label(row) != y0) acc[0] |= bit;
+      for (FeatureId f = 0; f < n; ++f) {
+        if (xr[f] == x0[f]) acc[1 + f] |= bit;
       }
     }
-  };
-  constexpr size_t kBuildChunkWords = 1024;  // 64 Ki rows per task
-  if (pool != nullptr && words > kBuildChunkWords) {
-    pool->ParallelChunks(words, kBuildChunkWords, build_words);
-    if (stats != nullptr) {
-      stats->shard_tasks.fetch_add(
-          (words + kBuildChunkWords - 1) / kBuildChunkWords,
-          std::memory_order_relaxed);
-    }
-  } else {
-    build_words(0, words);
+    for (size_t a = 0; a <= n; ++a) block[a * words + w] = acc[a];
   }
-  // One build per call: for a batch that is the amortization — N serial
-  // Explains would have counted N.
-  if (stats != nullptr) {
-    stats->bitmap_builds.fetch_add(1, std::memory_order_relaxed);
-  }
-  return blocks;
-}
-
-/// Item `i`'s block of BuildBlocks' output as the greedy's single part.
-BitsetPart WholeContextPart(std::vector<uint64_t>* blocks, size_t i,
-                            size_t num_features, size_t context_size) {
-  const size_t words = WordsFor(context_size);
-  return BitsetPart{blocks->data() + i * (num_features + 1) * words, words,
-                    std::min(context_size, Srk::kTieBreakSampleRows)};
-}
-
-/// The bitset engine's only path, a lone ExplainInstance included: one
-/// shared build for every item, then each item's greedy. The batch size
-/// decides where the pool goes. A lone item's greedy shards its candidate
-/// counting across it; several items fan out across it, one fully serial
-/// greedy per task (ThreadPool is non-reentrant). The keys are unchanged
-/// either way — every compared quantity is an exact popcount.
-std::vector<KeyResult> ExplainBatchBitset(const Context& context,
-                                          const std::vector<Srk::BatchItem>& items,
-                                          const Srk::Options& options,
-                                          size_t tolerated) {
-  const size_t n = context.num_features();
-  const size_t m = items.size();
-  ThreadPool* pool = options.pool;
-  std::vector<uint64_t> blocks =
-      BuildBlocks(context, items, pool, options.stats);
-
-  std::vector<KeyResult> results(m);
-  auto run_item = [&](size_t i, ThreadPool* greedy_pool) {
-    results[i] = RunBitsetGreedy(
-        {WholeContextPart(&blocks, i, n, context.size())}, n, context.size(),
-        tolerated, items[i].deadline, greedy_pool, options.stats);
-  };
-  if (pool == nullptr || m == 1) {
-    for (size_t i = 0; i < m; ++i) run_item(i, pool);
-  } else {
-    pool->ParallelFor(m, [&](size_t i) { run_item(i, nullptr); });
-    if (options.stats != nullptr) {
-      options.stats->shard_tasks.fetch_add(m, std::memory_order_relaxed);
-    }
-  }
-  return results;
+  return block;
 }
 
 }  // namespace
@@ -368,10 +269,11 @@ Result<KeyResult> Srk::ExplainInstance(const Context& context,
   const size_t tolerated = ViolatorBudget(options.alpha, context_size);
 
   if (options.parallel_conformity) {
-    return std::move(ExplainBatchBitset(context,
-                                        {BatchItem{x0, y0, options.deadline}},
-                                        options, tolerated)
-                         .front());
+    std::vector<uint64_t> block = BuildBlock(context, x0, y0);
+    return RunBitsetGreedy(
+        {BitsetPart{block.data(), WordsFor(context_size),
+                    std::min(context_size, kTieBreakSampleRows)}},
+        n, context_size, tolerated, options.deadline);
   }
 
   KeyResult result;
@@ -495,42 +397,6 @@ Result<KeyResult> Srk::ExplainInstance(const Context& context,
   return result;
 }
 
-Result<std::vector<KeyResult>> Srk::ExplainBatch(
-    const Context& context, const std::vector<BatchItem>& items,
-    const Options& options) {
-  if (options.alpha <= 0.0 || options.alpha > 1.0) {
-    return Status::InvalidArgument("alpha must be in (0, 1]");
-  }
-  const size_t n = context.num_features();
-  for (size_t i = 0; i < items.size(); ++i) {
-    if (items[i].x.size() != n) {
-      return Status::InvalidArgument(
-          "batch item " + std::to_string(i) +
-          ": instance arity does not match schema");
-    }
-  }
-  std::vector<KeyResult> results;
-  if (items.empty()) return results;
-
-  const size_t tolerated = ViolatorBudget(options.alpha, context.size());
-
-  if (options.parallel_conformity) {
-    return ExplainBatchBitset(context, items, options, tolerated);
-  }
-
-  // Reference engine: nothing to amortize, but the batch entry point keeps
-  // its contract — item i's result equals a standalone ExplainInstance.
-  results.reserve(items.size());
-  for (const BatchItem& item : items) {
-    Options per_item = options;
-    per_item.deadline = item.deadline;
-    Result<KeyResult> key = ExplainInstance(context, item.x, item.y, per_item);
-    if (!key.ok()) return key.status();
-    results.push_back(std::move(*key));
-  }
-  return results;
-}
-
 Result<KeyResult> Srk::ExplainParts(const std::vector<BitsetPart>& parts,
                                     size_t num_features, size_t context_size,
                                     double alpha, const Deadline& deadline) {
@@ -538,8 +404,7 @@ Result<KeyResult> Srk::ExplainParts(const std::vector<BitsetPart>& parts,
     return Status::InvalidArgument("alpha must be in (0, 1]");
   }
   return RunBitsetGreedy(parts, num_features, context_size,
-                         ViolatorBudget(alpha, context_size), deadline,
-                         /*pool=*/nullptr, /*stats=*/nullptr);
+                         ViolatorBudget(alpha, context_size), deadline);
 }
 
 }  // namespace cce

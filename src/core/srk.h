@@ -1,7 +1,6 @@
 #ifndef CCE_CORE_SRK_H_
 #define CCE_CORE_SRK_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -13,8 +12,6 @@
 #include "core/types.h"
 
 namespace cce {
-
-class ThreadPool;
 
 /// Algorithm SRK (paper Algorithm 1): greedy computation of an
 /// alpha-conformant relative key for an instance x0 over a static context I.
@@ -30,17 +27,6 @@ class Srk {
   /// prefix, so they all break ties identically.
   static constexpr size_t kTieBreakSampleRows = 2048;
 
-  /// Counters the bitset engine reports back to the caller (e.g. the proxy's
-  /// observability layer). Fields are atomic so a shared instance can absorb
-  /// concurrent Explain calls.
-  struct EngineStats {
-    /// Full per-call bitmap builds (one per bitset-path Explain).
-    std::atomic<uint64_t> bitmap_builds{0};
-    /// Work items dispatched to the pool — the shard fanout signal. Zero
-    /// when the bitset path ran without a pool.
-    std::atomic<uint64_t> shard_tasks{0};
-  };
-
   struct Options {
     /// Conformity bound in (0, 1]; 1 demands a (perfectly conformant)
     /// relative key.
@@ -52,22 +38,15 @@ class Srk {
     ///
     /// The bitset engine checks the deadline between greedy rounds rather
     /// than between candidate features, so expiry can be detected up to one
-    /// candidate scan later than on the serial path.
+    /// candidate scan later than on the sorted-merge path.
     Deadline deadline;
-    /// Selects the blocked-bitset conformity engine (docs/algorithms.md):
-    /// violator counting becomes word-AND + popcount over per-feature
-    /// agreement bitmaps instead of sorted-row-id scans. Produces
-    /// bit-identical keys to the serial path (determinism contract,
-    /// enforced by tests/conformity_parallel_test.cc).
+    /// Selects the serial bitset engine (docs/algorithms.md): x0's
+    /// violator and agreement bitmaps are built over the context, and
+    /// violator counting becomes word-AND + popcount instead of
+    /// sorted-row-id scans. Produces bit-identical keys to the sorted-merge
+    /// reference loop (determinism contract, enforced by
+    /// tests/conformity_parallel_test.cc).
     bool parallel_conformity = false;
-    /// Shards candidate evaluation across this pool (not owned). Only read
-    /// when parallel_conformity is set; null runs the bitset engine serially
-    /// — still the same keys. Must not be a pool whose worker is the calling
-    /// thread (ThreadPool is non-reentrant).
-    ThreadPool* pool = nullptr;
-    /// Optional sink for engine counters (not owned); may be shared across
-    /// concurrent calls.
-    EngineStats* stats = nullptr;
   };
 
   /// Explains the instance stored at `row` of `context`, whose label is the
@@ -77,36 +56,11 @@ class Srk {
 
   /// Explains an arbitrary (x0, y0) against `context`. x0 need not be a row
   /// of the context; its values must be expressed in the context schema.
-  /// With parallel_conformity this is ExplainBatch of one item.
+  /// With parallel_conformity this builds x0's one-part BitsetPart over the
+  /// context and runs ExplainParts' greedy on it.
   static Result<KeyResult> ExplainInstance(const Context& context,
                                            const Instance& x0, Label y0,
                                            const Options& options);
-
-  /// One instance of a batched Explain. The per-item deadline bounds that
-  /// item's greedy search alone (expiry degrades that item, not the batch);
-  /// the shared bitmap build is charged to no item in particular.
-  struct BatchItem {
-    Instance x;
-    Label y = 0;
-    Deadline deadline;
-  };
-
-  /// Batched ExplainInstance: scores every item against ONE shared row-major
-  /// pass over the context — each context row is touched once for the whole
-  /// batch instead of once per item — then runs each item's greedy. With
-  /// `options.pool` set, a lone item's greedy shards its candidate counting
-  /// across the pool, and several items fan out across it one serial greedy
-  /// each.
-  ///
-  /// Determinism contract: the returned keys are bit-identical to calling
-  /// ExplainInstance on each item independently, at any pool width and any
-  /// batch split (enforced by tests/batch_equivalence_test.cc). Every
-  /// quantity the greedy compares is an exact integer popcount and the
-  /// arg-min scan is always serial, so sharing the build cannot change a
-  /// pick. `options.deadline` is ignored; per-item deadlines apply.
-  static Result<std::vector<KeyResult>> ExplainBatch(
-      const Context& context, const std::vector<BatchItem>& items,
-      const Options& options);
 
   /// One disjoint slice of a context for one (x0, y0), as the bitset greedy
   /// reads it. `block` holds n + 1 word arrays of `words` words each, bit i
@@ -130,8 +84,8 @@ class Srk {
   /// proxy's per-shard indexes): candidate counts and tie-break
   /// frequencies are sums over the parts, so the key is bit-identical to
   /// ExplainInstance over the merged context of `context_size` rows.
-  /// ExplainInstance/ExplainBatch with parallel_conformity run this same
-  /// greedy on one part. The deadline is checked between greedy rounds.
+  /// ExplainInstance with parallel_conformity runs this same greedy on one
+  /// part. The deadline is checked between greedy rounds.
   static Result<KeyResult> ExplainParts(const std::vector<BitsetPart>& parts,
                                         size_t num_features,
                                         size_t context_size, double alpha,

@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "common/logging.h"
-#include "common/thread_pool.h"
 
 namespace cce {
 
@@ -40,36 +39,10 @@ Ssrk::Ssrk(const Dataset& universe, Instance x0, Label y0,
   // weights 1/2n; U = universe instances predicted differently from x0;
   // potential Φ = Σ_j m^{2 mu_j}.
   for (FeatureId f = 0; f < n; ++f) weights_[f] = 1.0 / (2.0 * n);
-  if (options_.parallel_conformity) {
-    agree_bits_.resize(n);
-    auto build = [&](size_t f) {
-      agree_bits_[f].Resize(m);
-      std::vector<ValueId> column;
-      universe_.CopyColumn(static_cast<FeatureId>(f), &column);
-      for (size_t row = 0; row < m; ++row) {
-        if (column[row] == x0_[f]) agree_bits_[f].Set(row);
-      }
-    };
-    if (options_.pool != nullptr) {
-      options_.pool->ParallelFor(n, build);
-    } else {
-      for (size_t f = 0; f < n; ++f) build(f);
-    }
-    active_bits_.Resize(m);
-    for (size_t row = 0; row < m; ++row) {
-      if (universe_.label(row) != y0_) active_bits_.Set(row);
-    }
-  } else {
-    for (size_t row = 0; row < m; ++row) {
-      if (universe_.label(row) != y0_) active_.push_back(row);
-    }
+  for (size_t row = 0; row < m; ++row) {
+    if (universe_.label(row) != y0_) active_.push_back(row);
   }
   log_potential_ = LogPotential();
-}
-
-std::vector<size_t> Ssrk::ActiveRows() const {
-  if (options_.parallel_conformity) return active_bits_.ToRows();
-  return active_;
 }
 
 double Ssrk::RowScore(size_t universe_row) const {
@@ -82,51 +55,27 @@ double Ssrk::RowScore(size_t universe_row) const {
 }
 
 double Ssrk::LogPotential() const {
-  const std::vector<size_t> rows = ActiveRows();
-  if (rows.empty()) return -std::numeric_limits<double>::infinity();
-  // log Σ exp(2 mu_j log m), max-shifted for stability. The accumulation is
-  // chunked identically on both engines: exponents are computed per row
-  // (each by the same serial feature loop), per-chunk partial sums run over
-  // fixed index ranges, and partials combine in chunk order. The parallel
-  // engine only changes WHO computes a chunk, never the rounding sequence —
-  // Φ comes out bit-identical, and so does every greedy comparison on it.
+  if (active_.empty()) return -std::numeric_limits<double>::infinity();
+  // log Σ exp(2 mu_j log m), max-shifted for stability. The sum runs over
+  // fixed index chunks in chunk order, so its rounding sequence depends
+  // only on the active list.
   constexpr size_t kChunk = 4096;
-  ThreadPool* pool = shard_pool();
-  const bool sharded = pool != nullptr && rows.size() > kChunk;
-
-  std::vector<double> exponents(rows.size());
-  auto fill = [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      exponents[i] = 2.0 * RowScore(rows[i]) * log_m_;
-    }
-  };
-  if (sharded) {
-    pool->ParallelChunks(rows.size(), kChunk, fill);
-  } else {
-    fill(0, rows.size());
+  std::vector<double> exponents(active_.size());
+  for (size_t i = 0; i < active_.size(); ++i) {
+    exponents[i] = 2.0 * RowScore(active_[i]) * log_m_;
   }
-
   double max_exponent = -std::numeric_limits<double>::infinity();
   for (double e : exponents) max_exponent = std::max(max_exponent, e);
 
-  const size_t num_chunks = (rows.size() + kChunk - 1) / kChunk;
-  std::vector<double> partial(num_chunks, 0.0);
-  auto sum_chunk = [&](size_t begin, size_t end) {
-    double s = 0.0;
-    for (size_t i = begin; i < end; ++i) {
-      s += std::exp(exponents[i] - max_exponent);
-    }
-    partial[begin / kChunk] = s;
-  };
-  if (sharded) {
-    pool->ParallelChunks(rows.size(), kChunk, sum_chunk);
-  } else {
-    for (size_t begin = 0; begin < rows.size(); begin += kChunk) {
-      sum_chunk(begin, std::min(rows.size(), begin + kChunk));
-    }
-  }
   double sum = 0.0;
-  for (double p : partial) sum += p;
+  for (size_t begin = 0; begin < exponents.size(); begin += kChunk) {
+    const size_t end = std::min(exponents.size(), begin + kChunk);
+    double partial = 0.0;
+    for (size_t i = begin; i < end; ++i) {
+      partial += std::exp(exponents[i] - max_exponent);
+    }
+    sum += partial;
+  }
   return max_exponent + std::log(sum);
 }
 
@@ -146,20 +95,15 @@ bool Ssrk::satisfied() const { return !OverBudget(); }
 void Ssrk::AddFeatureToKey(FeatureId feature) {
   if (FeatureSetContains(key_, feature)) return;
   FeatureSetInsert(&key_, feature);
-  // Line 15: U keeps only instances still agreeing with x0 on the key —
-  // one bitmap AND on the bitset engine, a row filter on the serial one.
-  if (options_.parallel_conformity) {
-    active_bits_.AndWith(agree_bits_[feature]);
-  } else {
-    std::vector<size_t> surviving;
-    surviving.reserve(active_.size());
-    for (size_t row : active_) {
-      if (universe_.value(row, feature) == x0_[feature]) {
-        surviving.push_back(row);
-      }
+  // Line 15: U keeps only instances still agreeing with x0 on the key.
+  std::vector<size_t> surviving;
+  surviving.reserve(active_.size());
+  for (size_t row : active_) {
+    if (universe_.value(row, feature) == x0_[feature]) {
+      surviving.push_back(row);
     }
-    active_ = std::move(surviving);
   }
+  active_ = std::move(surviving);
   std::vector<Instance> surviving_arrived;
   surviving_arrived.reserve(arrived_violators_.size());
   for (Instance& v : arrived_violators_) {
@@ -218,35 +162,18 @@ const FeatureSet& Ssrk::Observe(const Instance& x, Label y) {
   // exceeding its pre-augmentation value.
   double new_log_potential = LogPotential();
   while (new_log_potential > log_potential_ && !candidates.empty()) {
-    // Line 13: pick the candidate minimising surviving universe violators.
-    // Counts are exact integers on both engines and the arg-min scan runs
-    // serially in candidate order, so both engines pick the same feature.
-    std::vector<size_t> counts(candidates.size(), 0);
-    if (options_.parallel_conformity) {
-      auto score = [&](size_t i) {
-        counts[i] = RowBitmap::AndCount(active_bits_, agree_bits_[candidates[i]]);
-      };
-      if (options_.pool != nullptr) {
-        options_.pool->ParallelFor(candidates.size(), score);
-      } else {
-        for (size_t i = 0; i < candidates.size(); ++i) score(i);
-      }
-    } else {
-      for (size_t i = 0; i < candidates.size(); ++i) {
-        const FeatureId f = candidates[i];
-        size_t count = 0;
-        for (size_t row : active_) {
-          if (universe_.value(row, f) == x0_[f]) ++count;
-        }
-        counts[i] = count;
-      }
-    }
+    // Line 13: pick the candidate minimising surviving universe violators;
+    // ties go to the earliest candidate.
     FeatureId best_feature = candidates.front();
     size_t best_count = std::numeric_limits<size_t>::max();
-    for (size_t i = 0; i < candidates.size(); ++i) {
-      if (counts[i] < best_count) {
-        best_count = counts[i];
-        best_feature = candidates[i];
+    for (FeatureId f : candidates) {
+      size_t count = 0;
+      for (size_t row : active_) {
+        if (universe_.value(row, f) == x0_[f]) ++count;
+      }
+      if (count < best_count) {
+        best_count = count;
+        best_feature = f;
       }
     }
     AddFeatureToKey(best_feature);

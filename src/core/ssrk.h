@@ -7,12 +7,9 @@
 #include "common/status.h"
 #include "core/dataset.h"
 #include "core/key_result.h"
-#include "core/row_bitmap.h"
 #include "core/types.h"
 
 namespace cce {
-
-class ThreadPool;
 
 /// Algorithm SSRK (paper Algorithm 3): deterministic online maintenance of
 /// alpha-conformant relative keys for instances with *static features*, i.e.
@@ -26,17 +23,6 @@ class Ssrk {
  public:
   struct Options {
     double alpha = 1.0;
-    /// Selects the blocked-bitset engine for the universe violator set:
-    /// candidate scoring becomes word-AND + popcount over per-feature
-    /// agreement bitmaps, and covering a feature is one bitmap AND. The
-    /// potential Φ is accumulated in the same fixed-chunk order on both
-    /// engines (see LogPotential), so the maintained keys are bit-identical
-    /// to the serial path (tests/conformity_parallel_test.cc).
-    bool parallel_conformity = false;
-    /// Pool sharding candidate scoring and Φ accumulation (not owned). Only
-    /// read when parallel_conformity is set; null keeps the bitset engine
-    /// serial — still the same keys.
-    ThreadPool* pool = nullptr;
   };
 
   /// Creates a monitor for (x0, y0) with the given universe (instances plus
@@ -71,21 +57,11 @@ class Ssrk {
   double RowScore(size_t universe_row) const;
 
   /// log Φ = log Σ_{j ∈ active} m^{2 mu_j}, computed stably (log-sum-exp).
-  /// Accumulated over fixed chunks of the ascending active-row list, partial
-  /// sums combined in chunk order, on BOTH engines — so the floating-point
-  /// rounding sequence (and hence every Φ comparison the greedy makes) is
-  /// identical serial vs parallel.
+  /// Summed over fixed 4096-row chunks of the ascending active-row list,
+  /// partial sums combined in chunk order: a fixed floating-point rounding
+  /// sequence, so Φ — and every comparison the greedy makes on it — is
+  /// reproducible bit for bit.
   double LogPotential() const;
-
-  /// The uncovered universe violators, ascending — active_ on the serial
-  /// engine, decoded from active_bits_ on the bitset engine.
-  std::vector<size_t> ActiveRows() const;
-
-  /// Pool to shard work across, or null when running serial (no pool
-  /// configured or parallel_conformity off).
-  ThreadPool* shard_pool() const {
-    return options_.parallel_conformity ? options_.pool : nullptr;
-  }
 
   Dataset universe_;
   Instance x0_;
@@ -94,12 +70,7 @@ class Ssrk {
 
   FeatureSet key_;
   std::vector<double> weights_;     // importance weight per feature
-  std::vector<size_t> active_;      // uncovered universe violators (set U);
-                                    // unused on the bitset engine
-  // Bitset engine state (built only when options_.parallel_conformity):
-  // agree_bits_[f][row] = (universe[row][f] == x0[f]); active_bits_ is U.
-  std::vector<RowBitmap> agree_bits_;
-  RowBitmap active_bits_;
+  std::vector<size_t> active_;      // uncovered universe violators (set U)
   double log_potential_ = 0.0;      // Φ in log space
   double log_m_ = 0.0;
 

@@ -56,7 +56,7 @@ enum class MessageType : uint8_t {
   kErrorResponse = 9,
   /// N explain items in one frame, answered positionally by one
   /// kBatchExplainResponse. The server runs compatible items as a single
-  /// shared-build key search (one admission charge, one bitmap build);
+  /// shared-read key search (one admission charge, one shard-index read);
   /// each item still carries its own deadline and succeeds or fails
   /// individually. Codes 11–13 are reserved so the request/response
   /// pairing rule (response = request + 4) holds for this pair too.

@@ -155,7 +155,7 @@ void NetServer::InitInstruments() {
       "Decode-to-response-queued latency, microseconds");
   batch_size_ = reg->GetHistogram(
       "cce_batch_size",
-      "Explain items answered per shared-build batch execution (scalar "
+      "Explain items answered per shared-read batch execution (scalar "
       "drains and BATCH_EXPLAIN frames)");
 }
 

@@ -169,9 +169,12 @@ Registry::Child* Registry::GetChild(const std::string& name,
     family.help = help;
     family.type = type;
   } else {
-    // A name registered twice with different types would make exposition
-    // ambiguous; that is a programmer error, not a runtime condition.
+    // A name registered twice with a different type or help text would
+    // make exposition depend on which site registered first; that is a
+    // programmer error, not a runtime condition. An empty help is a
+    // lookup of a family registered elsewhere.
     CCE_CHECK(family.type == type);
+    CCE_CHECK(help.empty() || family.help == help);
   }
   Child& child = family.children[LabelSignature(labels)];
   if (child.labels.empty() && !labels.empty()) {

@@ -187,8 +187,10 @@ class Registry {
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
 
-  /// Find-or-create. `help` is recorded on first creation; a type clash on
-  /// an existing family is a programmer error and aborts.
+  /// Find-or-create. `help` is recorded on first creation; a type clash, or
+  /// a non-empty help that differs from the recorded one, is a programmer
+  /// error and aborts. An empty help looks up a family without restating
+  /// its help.
   Counter* GetCounter(const std::string& name, const std::string& help,
                       const Labels& labels = {});
   Gauge* GetGauge(const std::string& name, const std::string& help,

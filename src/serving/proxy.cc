@@ -242,8 +242,8 @@ void ExplainableProxy::InitInstruments() {
       "Orphaned *.tmp files swept from the durability dir at startup.");
   ins_.bitmap_rebuilds = reg.GetCounter(
       "cce_bitmap_rebuilds_total",
-      "Conformity-bitmap index work: leader shard-index compactions plus "
-      "replica per-request builds.");
+      "Shard-index compactions: one each time a shard's live fraction "
+      "drops below half.");
   ins_.context_window_size = reg.GetGauge(
       "cce_context_window_size",
       "Pairs currently in the rolling context (all shards).");

@@ -1,6 +1,5 @@
 #include "serving/read_path.h"
 
-#include <atomic>
 #include <utility>
 
 #include "core/srk.h"
@@ -20,26 +19,7 @@ Result<KeyResult> SearchKey(const Context& context, const Instance& x,
   Srk::Options options;
   options.alpha = path.alpha;
   options.deadline = deadline;
-  Srk::EngineStats engine_stats;
-  if (path.parallel_conformity) {
-    options.parallel_conformity = true;
-    options.pool = path.pool;
-    options.stats = &engine_stats;
-  }
-  Result<KeyResult> key = Srk::ExplainInstance(context, x, y, options);
-  if (path.parallel_conformity) {
-    const uint64_t builds =
-        engine_stats.bitmap_builds.load(std::memory_order_relaxed);
-    if (builds > 0 && path.bitmap_rebuilds != nullptr) {
-      path.bitmap_rebuilds->Add(builds);
-    }
-    const uint64_t shards =
-        engine_stats.shard_tasks.load(std::memory_order_relaxed);
-    if (shards > 0 && path.conformity_shards != nullptr) {
-      path.conformity_shards->Add(shards);
-    }
-  }
-  return key;
+  return Srk::ExplainInstance(context, x, y, options);
 }
 
 Result<std::vector<RelativeCounterfactual>> SearchCounterfactuals(

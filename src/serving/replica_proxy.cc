@@ -22,10 +22,6 @@ ReplicaProxy::ReplicaProxy(std::shared_ptr<const Schema> schema,
     registry_ = std::make_shared<obs::Registry>(obs::Registry::Options{});
   }
   InitInstruments();
-  if (options_.parallel_conformity && options_.conformity_threads != 1) {
-    conformity_pool_ =
-        std::make_unique<ThreadPool>(options_.conformity_threads);
-  }
 }
 
 ReplicaProxy::~ReplicaProxy() { Stop(); }
@@ -94,14 +90,6 @@ void ReplicaProxy::InitInstruments() {
                            "Divergence scrub passes over applied state.");
   explains_ = reg.GetCounter("cce_replica_explains_total",
                              "Explain() calls served by the replica.");
-  bitmap_rebuilds_ = reg.GetCounter(
-      "cce_bitmap_rebuilds_total",
-      "Full conformity-bitmap builds by the bitset engine (one per "
-      "bitset-path Explain).");
-  conformity_shards_ = reg.GetCounter(
-      "cce_conformity_shards_total",
-      "Work items dispatched to the conformity pool by the bitset engine "
-      "(shard fanout).");
   explain_latency_us_ = reg.GetHistogram(
       "cce_replica_explain_latency_us",
       "End-to-end replica Explain() latency in microseconds.");
@@ -531,16 +519,6 @@ std::vector<ContextShard::Row> ReplicaProxy::ViewRows(
   return rows;
 }
 
-ReadPath ReplicaProxy::ExplainReadPath() const {
-  ReadPath path;
-  path.alpha = options_.alpha;
-  path.parallel_conformity = options_.parallel_conformity;
-  path.pool = conformity_pool_.get();
-  path.bitmap_rebuilds = bitmap_rebuilds_;
-  path.conformity_shards = conformity_shards_;
-  return path;
-}
-
 Result<KeyResult> ReplicaProxy::Explain(const Instance& x, Label y,
                                         const Deadline& deadline) const {
   obs::ScopedLatency latency(registry_.get(), explain_latency_us_);
@@ -556,7 +534,7 @@ Result<KeyResult> ReplicaProxy::Explain(const Instance& x, Label y,
   }
   const Context context = MaterializeContext(schema_, rows);
   Result<KeyResult> key =
-      SearchKey(context, x, y, deadline, ExplainReadPath());
+      SearchKey(context, x, y, deadline, ReadPath{options_.alpha});
   if (key.ok() && degraded) {
     // A quarantined tail or failing manifest means the view may be
     // stale; the key is still exactly right for published_seq(), and

@@ -14,7 +14,6 @@
 #include "common/deadline.h"
 #include "common/random.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "core/cce.h"
 #include "core/counterfactual.h"
 #include "core/dataset.h"
@@ -33,8 +32,11 @@ namespace cce::serving {
 /// Explain/Counterfactuals from a generation-consistent view of the
 /// leader's recorded context — with keys *bit-identical* to the leader's
 /// at the same published sequence, because both sides merge rows by the
-/// same global sequence order, apply the same capacity window, and run
-/// the same ReadPath search.
+/// same global sequence order and apply the same capacity window. The
+/// replica then searches its materialized view with Srk's sorted-merge
+/// loop and the leader searches its shard indexes with the bitset greedy;
+/// both compare only exact integer counts and break ties on the same
+/// 2048-row prefix, so they pick the same features.
 ///
 /// Consistency model. Each manifest shard record carries a per-shard
 /// watermark p (complete up to p); the replica's served view is the
@@ -65,10 +67,6 @@ class ReplicaProxy {
     size_t context_capacity = 0;
     /// Conformity bound — must equal the leader's alpha.
     double alpha = 1.0;
-    /// Key-search engine configuration (see ExplainableProxy::Options);
-    /// either setting yields the same keys, only latency differs.
-    bool parallel_conformity = false;
-    size_t conformity_threads = 0;
     /// I/O surface; null means io::Env::Default(). Tests inject
     /// io::FaultInjectingEnv to fault the replication read path.
     io::Env* env = nullptr;
@@ -238,7 +236,6 @@ class ReplicaProxy {
   /// Copies the served view (seq < view watermark, capacity-windowed).
   std::vector<ContextShard::Row> ViewRows(bool* degraded) const;
   Status CatchUpLocked();
-  ReadPath ExplainReadPath() const;
   /// Lazily creates the per-shard tail-quarantined gauge.
   obs::Gauge* TailGauge(size_t shard) const;
 
@@ -267,7 +264,6 @@ class ReplicaProxy {
   std::atomic<int64_t> manifest_backoff_ms_{0};
 
   std::shared_ptr<obs::Registry> registry_;
-  std::unique_ptr<ThreadPool> conformity_pool_;
 
   /// Background tailing loop.
   std::thread tail_thread_;
@@ -288,8 +284,6 @@ class ReplicaProxy {
   obs::Counter* fence_skips_ = nullptr;
   obs::Counter* scrubs_ = nullptr;
   obs::Counter* explains_ = nullptr;
-  obs::Counter* bitmap_rebuilds_ = nullptr;
-  obs::Counter* conformity_shards_ = nullptr;
   obs::Histogram* explain_latency_us_ = nullptr;
   /// Per-shard {shard="<i>"} quarantine gauges, created lazily (the
   /// shard count is discovered from the manifest).

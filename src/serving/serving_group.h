@@ -65,8 +65,11 @@ const char* RoutePolicyName(RoutePolicy policy);
 ///     non-degraded key regress to an older context.
 ///
 /// Within those fences a served key is exactly the leader's key at the
-/// reported sequence — leader and replicas share serving/read_path.h, which
-/// is what SUITE=ha asserts under dual fault injection.
+/// reported sequence, which is what SUITE=ha asserts under dual fault
+/// injection. The leader searches its shard-index slices with the bitset
+/// greedy and a replica searches its materialized view with the
+/// sorted-merge loop; they agree because every count either compares is
+/// an exact integer and both break ties on the same 2048-row prefix.
 ///
 /// The group takes no repair actions itself; pair it with a Supervisor
 /// (serving/supervisor.h) to close the detect-to-repair loop, or drive

@@ -1,12 +1,13 @@
-// The batch determinism contract (docs/algorithms.md "Amortized batch
-// Explain"): Srk::ExplainBatch shares ONE bitmap build across every item
-// yet returns keys bit-identical to running ExplainInstance per item — at
-// any pool width, any batch split, and across window slides. The proxy's
-// ExplainBatch inherits the same contract end to end, including while
-// Record traffic races the batch (the TSan angle of the stress suite).
+// The batch determinism contract (docs/algorithms.md "The shard-index read
+// path"): ExplainableProxy::ExplainBatch reads every item's slice of the
+// shard indexes in one pass, yet returns keys bit-identical to the
+// reference engine per item — at any batch split, across window slides,
+// and while Record traffic races the batch (the TSan angle of the stress
+// suite).
 
 #include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -14,7 +15,6 @@
 #include <gtest/gtest.h>
 
 #include "common/logging.h"
-#include "common/thread_pool.h"
 #include "core/srk.h"
 #include "serving/proxy.h"
 #include "serving/read_path.h"
@@ -29,14 +29,14 @@ int StressScale() {
 }
 
 /// A mixed batch over `context`: existing rows, perturbed instances, and
-/// both labels, so the shared build serves heterogeneous queries.
-std::vector<Srk::BatchItem> MakeBatch(const Dataset& context, size_t count,
-                                      uint64_t seed) {
+/// both labels, so one shared index read serves heterogeneous queries.
+std::vector<serving::BatchQuery> MakeBatch(const Dataset& context,
+                                           size_t count, uint64_t seed) {
   Rng rng(seed);
-  std::vector<Srk::BatchItem> items;
+  std::vector<serving::BatchQuery> items;
   items.reserve(count);
   for (size_t i = 0; i < count; ++i) {
-    Srk::BatchItem item;
+    serving::BatchQuery item;
     item.x = context.instance(rng.Uniform(context.size()));
     if (rng.Bernoulli(0.3)) {
       item.x[rng.Uniform(item.x.size())] = static_cast<ValueId>(rng.Uniform(4));
@@ -56,103 +56,77 @@ void ExpectSameKey(const KeyResult& want, const KeyResult& got,
   EXPECT_EQ(want.degraded, got.degraded) << what;
 }
 
-TEST(BatchEquivalenceTest, BatchKeysIdenticalToSerialAtAnyPoolWidth) {
-  for (uint64_t seed : {41u, 42u, 43u}) {
-    Dataset context = testing::RandomContext(600, 8, 4, seed);
-    for (double alpha : {1.0, 0.9}) {
-      const std::vector<Srk::BatchItem> items = MakeBatch(context, 24, seed);
-
-      // Serial reference: each item explained independently.
-      std::vector<KeyResult> want;
-      for (const Srk::BatchItem& item : items) {
-        Srk::Options serial;
-        serial.alpha = alpha;
-        auto one = Srk::ExplainInstance(context, item.x, item.y, serial);
-        ASSERT_TRUE(one.ok());
-        want.push_back(*one);
-      }
-
-      for (size_t threads : {0u, 1u, 4u}) {
-        Srk::Options options;
-        options.alpha = alpha;
-        options.parallel_conformity = true;
-        ThreadPool pool(threads == 0 ? 1 : threads);
-        options.pool = threads == 0 ? nullptr : &pool;
-        Srk::EngineStats stats;
-        options.stats = &stats;
-        auto got = Srk::ExplainBatch(context, items, options);
-        ASSERT_TRUE(got.ok());
-        ASSERT_EQ(got->size(), items.size());
-        EXPECT_EQ(stats.bitmap_builds.load(), 1u)
-            << "one shared build for the whole batch";
-        for (size_t i = 0; i < items.size(); ++i) {
-          ExpectSameKey(want[i], (*got)[i],
-                        "seed " + std::to_string(seed) + " alpha " +
-                            std::to_string(alpha) + " threads " +
-                            std::to_string(threads) + " item " +
-                            std::to_string(i));
-        }
-      }
-    }
-  }
+/// A live-search proxy (no cache) over 4 shards, capped at `capacity`
+/// rows (0 = unbounded).
+std::unique_ptr<serving::ExplainableProxy> LiveProxy(const Dataset& data,
+                                                     size_t capacity) {
+  serving::ExplainableProxy::Options options;
+  options.monitor_drift = false;
+  options.explain_cache.capacity = 0;
+  options.shards = 4;
+  options.context_capacity = capacity;
+  auto proxy =
+      serving::ExplainableProxy::Create(data.schema_ptr(), nullptr, options);
+  CCE_CHECK_OK(proxy.status());
+  return std::move(*proxy);
 }
 
 TEST(BatchEquivalenceTest, AnyBatchSplitGivesTheSameKeys) {
   Dataset context = testing::RandomContext(500, 8, 4, 51);
-  const std::vector<Srk::BatchItem> items = MakeBatch(context, 20, 52);
-  ThreadPool pool(4);
-  Srk::Options options;
-  options.parallel_conformity = true;
-  options.pool = &pool;
-
-  auto whole = Srk::ExplainBatch(context, items, options);
-  ASSERT_TRUE(whole.ok());
+  const std::vector<serving::BatchQuery> items = MakeBatch(context, 20, 52);
+  auto proxy = LiveProxy(context, 0);
+  for (size_t row = 0; row < context.size(); ++row) {
+    CCE_CHECK_OK(proxy->Record(context.instance(row), context.label(row)));
+  }
+  const auto whole = proxy->ExplainBatch(items);
+  ASSERT_EQ(whole.size(), items.size());
 
   Rng rng(53);
   for (int trial = 0; trial < 5; ++trial) {
     // Cut the batch at random points; concatenated results must match the
-    // whole-batch run exactly (and therefore the serial run, transitively).
-    std::vector<KeyResult> stitched;
+    // whole-batch run exactly.
     size_t begin = 0;
     while (begin < items.size()) {
       const size_t take = 1 + rng.Uniform(items.size() - begin);
-      std::vector<Srk::BatchItem> chunk(items.begin() + begin,
-                                        items.begin() + begin + take);
-      auto part = Srk::ExplainBatch(context, chunk, options);
-      ASSERT_TRUE(part.ok());
-      stitched.insert(stitched.end(), part->begin(), part->end());
+      std::vector<serving::BatchQuery> chunk(items.begin() + begin,
+                                             items.begin() + begin + take);
+      const auto part = proxy->ExplainBatch(chunk);
+      ASSERT_EQ(part.size(), take);
+      for (size_t i = 0; i < take; ++i) {
+        ASSERT_TRUE(whole[begin + i].ok());
+        ASSERT_TRUE(part[i].ok());
+        ExpectSameKey(whole[begin + i].value(), part[i].value(),
+                      "trial " + std::to_string(trial) + " item " +
+                          std::to_string(begin + i));
+      }
       begin += take;
-    }
-    ASSERT_EQ(stitched.size(), whole->size());
-    for (size_t i = 0; i < stitched.size(); ++i) {
-      ExpectSameKey((*whole)[i], stitched[i],
-                    "trial " + std::to_string(trial) + " item " +
-                        std::to_string(i));
     }
   }
 }
 
 TEST(BatchEquivalenceTest, EquivalenceHoldsAcrossWindowSlides) {
   Dataset full = testing::RandomContext(700, 8, 4, 61);
-  const std::vector<Srk::BatchItem> items = MakeBatch(full, 12, 62);
-  ThreadPool pool(3);
-  // The same batch re-explained as the window grows: each slide is a fresh
-  // shared build, and every one must agree with the serial path over the
-  // context as it stands at that moment.
-  for (size_t window : {100u, 350u, 700u}) {
-    Dataset context = full.Prefix(window);
-    Srk::Options options;
-    options.parallel_conformity = true;
-    options.pool = &pool;
-    auto got = Srk::ExplainBatch(context, items, options);
-    ASSERT_TRUE(got.ok());
+  const std::vector<serving::BatchQuery> items = MakeBatch(full, 12, 62);
+  // The same batch re-explained as a 350-row window fills and then slides:
+  // every answer must agree with the reference engine over the window as
+  // it stands at that moment.
+  auto proxy = LiveProxy(full, 350);
+  size_t recorded = 0;
+  for (size_t target : {100u, 350u, 700u}) {
+    for (; recorded < target; ++recorded) {
+      CCE_CHECK_OK(proxy->Record(full.instance(recorded),
+                                 full.label(recorded)));
+    }
+    const Dataset window = proxy->ContextSnapshot();
+    const auto got = proxy->ExplainBatch(items);
+    ASSERT_EQ(got.size(), items.size());
     for (size_t i = 0; i < items.size(); ++i) {
-      Srk::Options serial;
-      auto want =
-          Srk::ExplainInstance(context, items[i].x, items[i].y, serial);
+      auto want = Srk::ExplainInstance(window, items[i].x, items[i].y,
+                                       Srk::Options());
       ASSERT_TRUE(want.ok());
-      ExpectSameKey(*want, (*got)[i],
-                    "window " + std::to_string(window) + " item " +
+      ASSERT_TRUE(got[i].ok());
+      ExpectSameKey(*want, got[i].value(),
+                    "recorded " + std::to_string(target) + " item " +
                         std::to_string(i));
     }
   }

@@ -1,22 +1,18 @@
-// The determinism contract of the bitset conformity engine (ISSUE 5): for
-// the same logical context, the serial sorted-row-id engine and the blocked
-// bitset engine return identical answers — counts, row lists, and above
-// all the *keys* produced by SRK / OSRK / SSRK, with 0, 1 and N pool
-// threads. Any divergence here is a bug by definition (docs/algorithms.md
-// "Determinism contract").
+// The determinism contract of the bitset conformity engine: for the same
+// logical context, the sorted-row-id engine and the blocked bitset engine
+// return identical answers — counts, row lists, and above all the *keys*
+// SRK produces. Any divergence here is a bug by definition
+// (docs/algorithms.md "Determinism contract").
 
 #include <algorithm>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "common/thread_pool.h"
 #include "core/bitset_conformity.h"
 #include "core/conformity.h"
-#include "core/osrk.h"
 #include "core/row_bitmap.h"
 #include "core/srk.h"
-#include "core/ssrk.h"
 #include "tests/test_util.h"
 
 namespace cce {
@@ -40,21 +36,9 @@ TEST(RowBitmapTest, SetTestClearCount) {
   EXPECT_EQ(bits.ToRows(), (std::vector<size_t>{0, 64, 199}));
 }
 
-TEST(RowBitmapTest, CountPrefix) {
-  RowBitmap bits(300);
-  for (size_t row = 0; row < 300; row += 3) bits.Set(row);
-  size_t expected = 0;
-  for (size_t limit = 0; limit <= 300; ++limit) {
-    EXPECT_EQ(bits.CountPrefix(limit), expected) << "limit " << limit;
-    if (limit < 300 && limit % 3 == 0) ++expected;
-  }
-  // A limit beyond size() clamps.
-  EXPECT_EQ(bits.CountPrefix(10'000), bits.Count());
-}
-
 TEST(RowBitmapTest, ResizePreservesAndClearsTail) {
   RowBitmap bits(70);
-  bits.SetAll();
+  for (size_t row = 0; row < 70; ++row) bits.Set(row);
   EXPECT_EQ(bits.Count(), 70u);
   bits.Resize(130);
   EXPECT_EQ(bits.Count(), 70u);  // new rows arrive clear
@@ -62,37 +46,6 @@ TEST(RowBitmapTest, ResizePreservesAndClearsTail) {
   EXPECT_EQ(bits.Count(), 65u);  // shrink drops the tail bits
   bits.Resize(128);
   EXPECT_EQ(bits.Count(), 65u);  // dropped bits stay dropped
-}
-
-TEST(RowBitmapTest, AndCountMatchesSerialUnderEveryPoolWidth) {
-  // Big enough to exceed kShardWords so the pool path actually shards.
-  const size_t rows = (RowBitmap::kShardWords + 37) * 64;
-  RowBitmap a(rows);
-  RowBitmap b(rows);
-  Rng rng(7);
-  for (size_t row = 0; row < rows; ++row) {
-    if (rng.Bernoulli(0.4)) a.Set(row);
-    if (rng.Bernoulli(0.6)) b.Set(row);
-  }
-  const size_t serial = RowBitmap::AndCount(a, b);
-  for (size_t threads : {1u, 2u, 4u}) {
-    ThreadPool pool(threads);
-    uint64_t shards = 0;
-    EXPECT_EQ(RowBitmap::AndCount(a, b, &pool, &shards), serial)
-        << threads << " threads";
-    EXPECT_GT(shards, 0u);
-  }
-}
-
-TEST(RowBitmapTest, AndNotAndCount) {
-  RowBitmap a(100), b(100), c(100);
-  for (size_t row = 0; row < 100; ++row) {
-    if (row % 2 == 0) a.Set(row);
-    if (row % 4 == 0) b.Set(row);
-    if (row < 50) c.Set(row);
-  }
-  // a & ~b & c = even rows, not multiples of 4, below 50: 2,6,...,46.
-  EXPECT_EQ(RowBitmap::AndNotAndCount(a, b, c), 12u);
 }
 
 // ------------------------------------- checker parity on random contexts
@@ -125,10 +78,7 @@ TEST(BitsetParityTest, RandomizedQueriesAgreeWithReference) {
   for (uint64_t seed : {1u, 2u, 3u}) {
     Dataset context = testing::RandomContext(600, 8, 4, seed);
     ConformityChecker reference(&context);
-    ThreadPool pool(3);
-    BitsetConformityChecker::Options options;
-    options.pool = &pool;
-    BitsetConformityChecker bitset(&context, options);
+    BitsetConformityChecker bitset(&context);
     Rng rng(seed * 101);
     for (int q = 0; q < 50; ++q) {
       Instance x0 = context.instance(rng.Uniform(context.size()));
@@ -208,7 +158,7 @@ TEST(BitsetParityTest, IncrementalMaintenanceMatchesRebuild) {
   expect_parity(36, "compacted");
 }
 
-// ----------------------------------------- key equivalence: SRK/OSRK/SSRK
+// -------------------------------------------------- SRK key equivalence
 
 TEST(EngineEquivalenceTest, SrkKeysIdenticalAcrossEngines) {
   for (uint64_t seed : {5u, 6u, 7u, 8u}) {
@@ -220,103 +170,20 @@ TEST(EngineEquivalenceTest, SrkKeysIdenticalAcrossEngines) {
         auto want = Srk::Explain(context, row, serial);
         ASSERT_TRUE(want.ok());
 
-        for (size_t threads : {0u, 1u, 4u}) {
-          Srk::Options par;
-          par.alpha = alpha;
-          par.parallel_conformity = true;
-          ThreadPool pool(threads == 0 ? 1 : threads);
-          par.pool = threads == 0 ? nullptr : &pool;
-          Srk::EngineStats stats;
-          par.stats = &stats;
-          auto got = Srk::Explain(context, row, par);
-          ASSERT_TRUE(got.ok());
-          const std::string what = "seed " + std::to_string(seed) +
-                                   " alpha " + std::to_string(alpha) +
-                                   " row " + std::to_string(row) +
-                                   " threads " + std::to_string(threads);
-          EXPECT_EQ(want->key, got->key) << what;
-          EXPECT_EQ(want->pick_order, got->pick_order) << what;
-          EXPECT_EQ(want->achieved_alpha, got->achieved_alpha) << what;
-          EXPECT_EQ(want->satisfied, got->satisfied) << what;
-          EXPECT_EQ(want->degraded, got->degraded) << what;
-          EXPECT_EQ(stats.bitmap_builds.load(), 1u) << what;
-        }
+        Srk::Options bitset;
+        bitset.alpha = alpha;
+        bitset.parallel_conformity = true;
+        auto got = Srk::Explain(context, row, bitset);
+        ASSERT_TRUE(got.ok());
+        const std::string what = "seed " + std::to_string(seed) + " alpha " +
+                                 std::to_string(alpha) + " row " +
+                                 std::to_string(row);
+        EXPECT_EQ(want->key, got->key) << what;
+        EXPECT_EQ(want->pick_order, got->pick_order) << what;
+        EXPECT_EQ(want->achieved_alpha, got->achieved_alpha) << what;
+        EXPECT_EQ(want->satisfied, got->satisfied) << what;
+        EXPECT_EQ(want->degraded, got->degraded) << what;
       }
-    }
-  }
-}
-
-TEST(EngineEquivalenceTest, OsrkKeysIdenticalAcrossEngines) {
-  for (uint64_t seed : {21u, 22u, 23u}) {
-    Dataset stream = testing::RandomContext(3000, 8, 3, seed);
-    const Instance x0 = stream.instance(0);
-    const Label y0 = stream.label(0);
-
-    Osrk::Options serial;
-    serial.alpha = 0.97;
-    serial.seed = seed;
-    auto want = Osrk::Create(stream.schema_ptr(), x0, y0, serial);
-    ASSERT_TRUE(want.ok());
-
-    ThreadPool pool(4);
-    Osrk::Options par = serial;
-    par.parallel_conformity = true;
-    par.pool = &pool;
-    auto got = Osrk::Create(stream.schema_ptr(), x0, y0, par);
-    ASSERT_TRUE(got.ok());
-
-    for (size_t row = 1; row < stream.size(); ++row) {
-      const FeatureSet& want_key =
-          (*want)->Observe(stream.instance(row), stream.label(row));
-      const FeatureSet& got_key =
-          (*got)->Observe(stream.instance(row), stream.label(row));
-      ASSERT_EQ(want_key, got_key) << "seed " << seed << " arrival " << row;
-    }
-    EXPECT_EQ((*want)->achieved_alpha(), (*got)->achieved_alpha());
-    EXPECT_EQ((*want)->satisfied(), (*got)->satisfied());
-  }
-}
-
-TEST(EngineEquivalenceTest, SsrkKeysAndPotentialIdenticalAcrossEngines) {
-  for (uint64_t seed : {31u, 32u, 33u}) {
-    Dataset universe = testing::RandomContext(1000, 8, 3, seed);
-    const Instance x0 = universe.instance(0);
-    const Label y0 = universe.label(0);
-
-    Ssrk::Options serial;
-    serial.alpha = 0.98;
-    auto want = Ssrk::Create(universe, x0, y0, serial);
-    ASSERT_TRUE(want.ok());
-
-    for (size_t threads : {0u, 4u}) {
-      ThreadPool pool(threads == 0 ? 1 : threads);
-      Ssrk::Options par = serial;
-      par.parallel_conformity = true;
-      par.pool = threads == 0 ? nullptr : &pool;
-      auto got = Ssrk::Create(universe, x0, y0, par);
-      ASSERT_TRUE(got.ok());
-      // Φ must match bit-for-bit from construction on: the chunked
-      // accumulation order is the same on both engines.
-      ASSERT_EQ((*want)->log_potential(), (*got)->log_potential());
-
-      auto fresh = Ssrk::Create(universe, x0, y0, serial);
-      ASSERT_TRUE(fresh.ok());
-      Rng order(seed * 7);
-      std::vector<size_t> arrival(universe.size());
-      for (size_t i = 0; i < arrival.size(); ++i) arrival[i] = i;
-      order.Shuffle(&arrival);
-      for (size_t row : arrival) {
-        const FeatureSet& want_key =
-            (*fresh)->Observe(universe.instance(row), universe.label(row));
-        const FeatureSet& got_key =
-            (*got)->Observe(universe.instance(row), universe.label(row));
-        ASSERT_EQ(want_key, got_key)
-            << "seed " << seed << " threads " << threads << " row " << row;
-        ASSERT_EQ((*fresh)->log_potential(), (*got)->log_potential())
-            << "seed " << seed << " threads " << threads << " row " << row;
-      }
-      EXPECT_EQ((*fresh)->achieved_alpha(), (*got)->achieved_alpha());
-      EXPECT_EQ((*fresh)->satisfied(), (*got)->satisfied());
     }
   }
 }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -39,9 +38,7 @@ class ContextShardTest : public ::testing::Test {
   }
 
   std::string MakeDir(const std::string& tag) {
-    const std::string dir = ::testing::TempDir() + "/cce_shard_" + tag;
-    std::remove((dir + "/context.wal").c_str());
-    std::remove((dir + "/context.snapshot").c_str());
+    const std::string dir = tmp_.File(tag);
     CCE_CHECK_OK(io::Env::Default()->CreateDir(dir));
     return dir;
   }
@@ -57,6 +54,7 @@ class ContextShardTest : public ::testing::Test {
   }
 
   std::unique_ptr<Dataset> data_;
+  cce::testing::ScopedTestDir tmp_;
 };
 
 TEST_F(ContextShardTest, RecordRecoverRoundTrip) {

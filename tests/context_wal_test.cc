@@ -11,6 +11,7 @@
 
 #include "common/logging.h"
 #include "io/fault_env.h"
+#include "tests/test_util.h"
 
 namespace cce::io {
 namespace {
@@ -67,7 +68,8 @@ RecordList BuildLog(const std::string& path, size_t count,
 }
 
 TEST(ContextWalTest, AppendReplayRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/wal_roundtrip.wal";
+  cce::testing::ScopedTestDir dir;
+  const std::string path = dir.File("wal_roundtrip.wal");
   RecordList written = BuildLog(path, 10);
   ContextWal::RecoveryStats stats;
   RecordList replayed = Recover(path, &stats);
@@ -75,23 +77,22 @@ TEST(ContextWalTest, AppendReplayRoundTrip) {
   EXPECT_EQ(stats.records_recovered, 10u);
   EXPECT_EQ(stats.records_dropped, 0u);
   EXPECT_EQ(stats.bytes_discarded, 0u);
-  std::remove(path.c_str());
 }
 
 TEST(ContextWalTest, FreshLogIsEmpty) {
-  const std::string path = ::testing::TempDir() + "/wal_fresh.wal";
-  std::remove(path.c_str());
+  cce::testing::ScopedTestDir dir;
+  const std::string path = dir.File("wal_fresh.wal");
   ContextWal::RecoveryStats stats;
   std::unique_ptr<ContextWal> wal;
   RecordList replayed = Recover(path, &stats, &wal);
   EXPECT_TRUE(replayed.empty());
   EXPECT_EQ(stats.records_dropped, 0u);
   EXPECT_GT(wal->size_bytes(), 0u) << "header must be on disk";
-  std::remove(path.c_str());
 }
 
 TEST(ContextWalTest, SyncPolicyControlsFsyncCadence) {
-  const std::string path = ::testing::TempDir() + "/wal_sync.wal";
+  cce::testing::ScopedTestDir dir;
+  const std::string path = dir.File("wal_sync.wal");
   for (size_t sync_every : {size_t{1}, size_t{4}, size_t{0}}) {
     std::remove(path.c_str());
     ContextWal::Options options;
@@ -109,11 +110,11 @@ TEST(ContextWalTest, SyncPolicyControlsFsyncCadence) {
     CCE_CHECK_OK((*wal)->Sync());
     EXPECT_EQ((*wal)->fsyncs(), expected + 1) << "on-demand Sync";
   }
-  std::remove(path.c_str());
 }
 
 TEST(ContextWalTest, ResetStartsANewGenerationWithTheGivenBase) {
-  const std::string path = ::testing::TempDir() + "/wal_reset.wal";
+  cce::testing::ScopedTestDir dir;
+  const std::string path = dir.File("wal_reset.wal");
   BuildLog(path, 6);
   std::unique_ptr<ContextWal> wal;
   Recover(path, nullptr, &wal);
@@ -128,11 +129,11 @@ TEST(ContextWalTest, ResetStartsANewGenerationWithTheGivenBase) {
   EXPECT_EQ(replayed[0].first, MakeInstance(99));
   EXPECT_EQ(stats.base_recorded, 6u);
   EXPECT_EQ(stats.records_dropped, 0u);
-  std::remove(path.c_str());
 }
 
 TEST(ContextWalTest, AppendAfterRecoveryContinuesTheChain) {
-  const std::string path = ::testing::TempDir() + "/wal_continue.wal";
+  cce::testing::ScopedTestDir dir;
+  const std::string path = dir.File("wal_continue.wal");
   RecordList written = BuildLog(path, 5);
   {
     std::unique_ptr<ContextWal> wal;
@@ -143,15 +144,15 @@ TEST(ContextWalTest, AppendAfterRecoveryContinuesTheChain) {
         wal->Append(written.back().first, written.back().second, 50));
   }
   EXPECT_EQ(Recover(path), written);
-  std::remove(path.c_str());
 }
 
 /// Corruption-injection harness: every truncation point of a sample log
 /// must salvage exactly the records whose frames are fully intact —
 /// recovery never fails, and no partial frame is ever surfaced.
 TEST(ContextWalCorruptionTest, EveryTruncationPointSalvagesTheIntactPrefix) {
-  const std::string path = ::testing::TempDir() + "/wal_trunc_src.wal";
-  const std::string victim = ::testing::TempDir() + "/wal_trunc.wal";
+  cce::testing::ScopedTestDir dir;
+  const std::string path = dir.File("wal_trunc_src.wal");
+  const std::string victim = dir.File("wal_trunc.wal");
   const size_t kRecords = 8;
   RecordList written = BuildLog(path, kRecords);
   const std::string bytes = ReadFileBytes(path);
@@ -178,15 +179,14 @@ TEST(ContextWalCorruptionTest, EveryTruncationPointSalvagesTheIntactPrefix) {
     // The salvage truncation leaves a log that recovers identically.
     EXPECT_EQ(Recover(victim).size(), expected) << "cut at byte " << cut;
   }
-  std::remove(path.c_str());
-  std::remove(victim.c_str());
 }
 
 /// Every single-bit flip must be caught: recovery returns OK with a strict
 /// prefix of the original records and never accepts a mutated record.
 TEST(ContextWalCorruptionTest, EverySingleBitFlipIsRejectedNotResurrected) {
-  const std::string path = ::testing::TempDir() + "/wal_flip_src.wal";
-  const std::string victim = ::testing::TempDir() + "/wal_flip.wal";
+  cce::testing::ScopedTestDir dir;
+  const std::string path = dir.File("wal_flip_src.wal");
+  const std::string victim = dir.File("wal_flip.wal");
   const size_t kRecords = 6;
   RecordList written = BuildLog(path, kRecords);
   const std::string bytes = ReadFileBytes(path);
@@ -210,14 +210,13 @@ TEST(ContextWalCorruptionTest, EverySingleBitFlipIsRejectedNotResurrected) {
           << "flip at byte " << byte << " bit " << bit;
     }
   }
-  std::remove(path.c_str());
-  std::remove(victim.c_str());
 }
 
 /// A duplicated tail block is checksum-valid but out of sequence: recovery
 /// must keep the original records and drop the replayed copy.
 TEST(ContextWalCorruptionTest, DuplicatedTailBlockIsDropped) {
-  const std::string path = ::testing::TempDir() + "/wal_dup.wal";
+  cce::testing::ScopedTestDir dir;
+  const std::string path = dir.File("wal_dup.wal");
   const size_t kRecords = 5;
   RecordList written = BuildLog(path, kRecords);
   const std::string bytes = ReadFileBytes(path);
@@ -230,12 +229,12 @@ TEST(ContextWalCorruptionTest, DuplicatedTailBlockIsDropped) {
   EXPECT_EQ(replayed, written);
   EXPECT_GE(stats.records_dropped, 1u);
   EXPECT_EQ(stats.bytes_discarded, frame_size);
-  std::remove(path.c_str());
 }
 
 /// Garbage instead of a log (wrong magic, random bytes) restarts cleanly.
 TEST(ContextWalCorruptionTest, ForeignFileRestartsTheLog) {
-  const std::string path = ::testing::TempDir() + "/wal_foreign.wal";
+  cce::testing::ScopedTestDir dir;
+  const std::string path = dir.File("wal_foreign.wal");
   WriteFileBytes(path, "this is not a wal at all, not even close\n");
   ContextWal::RecoveryStats stats;
   std::unique_ptr<ContextWal> wal;
@@ -247,15 +246,14 @@ TEST(ContextWalCorruptionTest, ForeignFileRestartsTheLog) {
   CCE_CHECK_OK(wal->Append(MakeInstance(1), 0, 0));
   wal.reset();
   EXPECT_EQ(Recover(path).size(), 1u);
-  std::remove(path.c_str());
 }
 
 /// The fsyncgate discipline: after a failed fsync the kernel may have
 /// dropped the dirty pages, so the log must refuse to accept (and claim
 /// durability for) anything more until it is rewritten from scratch.
 TEST(ContextWalPoisonTest, FailedFsyncPoisonsUntilReset) {
-  const std::string path = ::testing::TempDir() + "/wal_poison.wal";
-  std::remove(path.c_str());
+  cce::testing::ScopedTestDir dir;
+  const std::string path = dir.File("wal_poison.wal");
   FaultInjectingEnv fault(Env::Default());
   ContextWal::Options options;
   options.env = &fault;
@@ -287,15 +285,14 @@ TEST(ContextWalPoisonTest, FailedFsyncPoisonsUntilReset) {
   ASSERT_EQ(replayed.size(), 1u);
   EXPECT_EQ(replayed[0].first, MakeInstance(3));
   EXPECT_EQ(stats.base_recorded, 1u);
-  std::remove(path.c_str());
 }
 
 /// A failed append rolls the file back to the previous frame boundary; if
 /// that rollback truncation *also* fails, a torn frame may be on disk and
 /// the log poisons itself rather than appending after garbage.
 TEST(ContextWalPoisonTest, FailedRollbackAfterTornAppendPoisons) {
-  const std::string path = ::testing::TempDir() + "/wal_rollback.wal";
-  std::remove(path.c_str());
+  cce::testing::ScopedTestDir dir;
+  const std::string path = dir.File("wal_rollback.wal");
   FaultInjectingEnv fault(Env::Default());
   ContextWal::Options options;
   options.env = &fault;
@@ -317,14 +314,13 @@ TEST(ContextWalPoisonTest, FailedRollbackAfterTornAppendPoisons) {
   ASSERT_EQ(replayed.size(), 1u);
   EXPECT_EQ(replayed[0].first, MakeInstance(0));
   EXPECT_GE(stats.records_dropped, 1u);
-  std::remove(path.c_str());
 }
 
 /// A failed append whose rollback *succeeds* leaves a clean, unpoisoned
 /// log: the next append lands on the previous frame boundary.
 TEST(ContextWalPoisonTest, SuccessfulRollbackKeepsTheLogClean) {
-  const std::string path = ::testing::TempDir() + "/wal_clean_rollback.wal";
-  std::remove(path.c_str());
+  cce::testing::ScopedTestDir dir;
+  const std::string path = dir.File("wal_clean_rollback.wal");
   FaultInjectingEnv fault(Env::Default());
   ContextWal::Options options;
   options.env = &fault;
@@ -344,25 +340,23 @@ TEST(ContextWalPoisonTest, SuccessfulRollbackKeepsTheLogClean) {
   ASSERT_EQ(replayed.size(), 2u);
   EXPECT_EQ(replayed[0].first, MakeInstance(0));
   EXPECT_EQ(replayed[1].first, MakeInstance(2));
-  std::remove(path.c_str());
 }
 
 TEST(ContextWalTest, OversizedInstanceIsRejected) {
-  const std::string path = ::testing::TempDir() + "/wal_oversize.wal";
-  std::remove(path.c_str());
+  cce::testing::ScopedTestDir dir;
+  const std::string path = dir.File("wal_oversize.wal");
   std::unique_ptr<ContextWal> wal;
   Recover(path, nullptr, &wal);
   Instance huge((1u << 24) / 4 + 1, 0);
   EXPECT_EQ(wal->Append(huge, 0, 0).code(), StatusCode::kInvalidArgument);
-  std::remove(path.c_str());
 }
 
 /// Sequence numbers are caller-supplied and sparse (a sharded owner logs
 /// only its own slice of the global order): gaps round-trip verbatim, and
 /// a non-increasing sequence is rejected before touching the file.
 TEST(ContextWalTest, SparseSequencesRoundTripAndStayMonotonic) {
-  const std::string path = ::testing::TempDir() + "/wal_sparse.wal";
-  std::remove(path.c_str());
+  cce::testing::ScopedTestDir dir;
+  const std::string path = dir.File("wal_sparse.wal");
   {
     auto wal = ContextWal::Open(path, {}, nullptr, nullptr);
     CCE_CHECK_OK(wal.status());
@@ -387,7 +381,6 @@ TEST(ContextWalTest, SparseSequencesRoundTripAndStayMonotonic) {
   EXPECT_EQ((*wal)->Append(MakeInstance(4), 0, 7).code(),
             StatusCode::kInvalidArgument);
   CCE_CHECK_OK((*wal)->Append(MakeInstance(4), 0, 4096));
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -60,16 +60,8 @@ size_t IterationBudget() {
 TEST(CrashTortureTest, KillRecoverLoopNeverLosesAcknowledgedRecords) {
   const size_t kShards = 4;
   const size_t kIterations = IterationBudget();
-  const std::string dir = ::testing::TempDir() + "/cce_crash_torture";
-  // Start from a clean slate: remove any files a previous run left.
-  {
-    std::vector<std::string> names;
-    if (io::Env::Default()->ListDir(dir, &names).ok()) {
-      for (const std::string& name : names) {
-        (void)io::Env::Default()->RemoveFile(dir + "/" + name);
-      }
-    }
-  }
+  cce::testing::ScopedTestDir tmp;
+  const std::string dir = tmp.path();
 
   Dataset data = cce::testing::RandomContext(300, 4, 2, 5, /*noise=*/0.1);
   Rng rng(20260807);

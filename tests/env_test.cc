@@ -10,13 +10,10 @@
 
 #include "common/logging.h"
 #include "io/fault_env.h"
+#include "tests/test_util.h"
 
 namespace cce::io {
 namespace {
-
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
 
 std::string MustRead(Env* env, const std::string& path) {
   std::string content;
@@ -25,9 +22,9 @@ std::string MustRead(Env* env, const std::string& path) {
 }
 
 TEST(PosixEnvTest, AppendableFileAccumulates) {
+  cce::testing::ScopedTestDir tmp;
   Env* env = Env::Default();
-  const std::string path = TempPath("env_append.bin");
-  std::remove(path.c_str());
+  const std::string path = tmp.File("env_append.bin");
   {
     auto file = env->NewAppendableFile(path);
     CCE_CHECK_OK(file.status());
@@ -49,8 +46,9 @@ TEST(PosixEnvTest, AppendableFileAccumulates) {
 }
 
 TEST(PosixEnvTest, TruncatedFileStartsEmpty) {
+  cce::testing::ScopedTestDir tmp;
   Env* env = Env::Default();
-  const std::string path = TempPath("env_trunc.bin");
+  const std::string path = tmp.File("env_trunc.bin");
   {
     auto file = env->NewAppendableFile(path);
     CCE_CHECK_OK(file.status());
@@ -68,8 +66,9 @@ TEST(PosixEnvTest, TruncatedFileStartsEmpty) {
 }
 
 TEST(PosixEnvTest, TruncateCutsAndRepositions) {
+  cce::testing::ScopedTestDir tmp;
   Env* env = Env::Default();
-  const std::string path = TempPath("env_cut.bin");
+  const std::string path = tmp.File("env_cut.bin");
   auto file = env->NewTruncatedFile(path);
   CCE_CHECK_OK(file.status());
   CCE_CHECK_OK((*file)->Append("0123456789"));
@@ -82,16 +81,18 @@ TEST(PosixEnvTest, TruncateCutsAndRepositions) {
 }
 
 TEST(PosixEnvTest, ReadMissingFileIsNotFound) {
+  cce::testing::ScopedTestDir tmp;
   Env* env = Env::Default();
   std::string content;
-  EXPECT_EQ(env->ReadFileToString(TempPath("env_no_such_file"), &content)
+  EXPECT_EQ(env->ReadFileToString(tmp.File("env_no_such_file"), &content)
                 .code(),
             StatusCode::kNotFound);
 }
 
 TEST(PosixEnvTest, RenameReplacesAndListDirSeesIt) {
+  cce::testing::ScopedTestDir tmp;
   Env* env = Env::Default();
-  const std::string dir = TempPath("env_listdir");
+  const std::string dir = tmp.File("env_listdir");
   CCE_CHECK_OK(env->CreateDir(dir));
   {
     auto file = env->NewTruncatedFile(dir + "/a.src");
@@ -110,9 +111,9 @@ TEST(PosixEnvTest, RenameReplacesAndListDirSeesIt) {
 }
 
 TEST(FaultEnvTest, ArmedAppendFailureFiresOnceThenClears) {
+  cce::testing::ScopedTestDir tmp;
   FaultInjectingEnv env(Env::Default());
-  const std::string path = TempPath("fault_append.bin");
-  std::remove(path.c_str());
+  const std::string path = tmp.File("fault_append.bin");
   auto file = env.NewTruncatedFile(path);
   CCE_CHECK_OK(file.status());
   env.FailNextAppend();
@@ -123,13 +124,12 @@ TEST(FaultEnvTest, ArmedAppendFailureFiresOnceThenClears) {
   CCE_CHECK_OK(env.ReadFileToString(path, &content));
   EXPECT_EQ(content, "fine");
   EXPECT_EQ(env.stats().append_errors, 1u);
-  std::remove(path.c_str());
 }
 
 TEST(FaultEnvTest, TornAppendLandsThePrefix) {
+  cce::testing::ScopedTestDir tmp;
   FaultInjectingEnv env(Env::Default());
-  const std::string path = TempPath("fault_torn.bin");
-  std::remove(path.c_str());
+  const std::string path = tmp.File("fault_torn.bin");
   auto file = env.NewTruncatedFile(path);
   CCE_CHECK_OK(file.status());
   env.TearNextAppend(/*keep_bytes=*/3);
@@ -140,13 +140,12 @@ TEST(FaultEnvTest, TornAppendLandsThePrefix) {
   EXPECT_EQ(content, "ABC") << "the torn prefix must be on disk, like a "
                                "real crash mid-write";
   EXPECT_EQ(env.stats().torn_appends, 1u);
-  std::remove(path.c_str());
 }
 
 TEST(FaultEnvTest, SpaceBudgetGivesEnospcWithPartialLanding) {
+  cce::testing::ScopedTestDir tmp;
   FaultInjectingEnv env(Env::Default());
-  const std::string path = TempPath("fault_enospc.bin");
-  std::remove(path.c_str());
+  const std::string path = tmp.File("fault_enospc.bin");
   auto file = env.NewTruncatedFile(path);
   CCE_CHECK_OK(file.status());
   env.ExhaustSpaceAfter(5);
@@ -159,13 +158,12 @@ TEST(FaultEnvTest, SpaceBudgetGivesEnospcWithPartialLanding) {
   env.ReplenishSpace();
   CCE_CHECK_OK((*file)->Append("ok"));
   CCE_CHECK_OK((*file)->Close());
-  std::remove(path.c_str());
 }
 
 TEST(FaultEnvTest, ArmedSyncAndTruncateFailuresFire) {
+  cce::testing::ScopedTestDir tmp;
   FaultInjectingEnv env(Env::Default());
-  const std::string path = TempPath("fault_sync.bin");
-  std::remove(path.c_str());
+  const std::string path = tmp.File("fault_sync.bin");
   auto file = env.NewTruncatedFile(path);
   CCE_CHECK_OK(file.status());
   CCE_CHECK_OK((*file)->Append("data"));
@@ -178,12 +176,12 @@ TEST(FaultEnvTest, ArmedSyncAndTruncateFailuresFire) {
   CCE_CHECK_OK((*file)->Close());
   EXPECT_EQ(env.stats().sync_errors, 1u);
   EXPECT_EQ(env.stats().truncate_errors, 1u);
-  std::remove(path.c_str());
 }
 
 TEST(FaultEnvTest, ReadFaultsAndShortReads) {
+  cce::testing::ScopedTestDir tmp;
   FaultInjectingEnv env(Env::Default());
-  const std::string path = TempPath("fault_read.bin");
+  const std::string path = tmp.File("fault_read.bin");
   {
     auto file = env.NewTruncatedFile(path);
     CCE_CHECK_OK(file.status());
@@ -201,25 +199,24 @@ TEST(FaultEnvTest, ReadFaultsAndShortReads) {
   EXPECT_EQ(content, "0123456789");
   EXPECT_EQ(env.stats().read_errors, 1u);
   EXPECT_EQ(env.stats().short_reads, 1u);
-  std::remove(path.c_str());
 }
 
 TEST(FaultEnvTest, DisabledEnvPassesEverythingThrough) {
+  cce::testing::ScopedTestDir tmp;
   FaultInjectingEnv env(Env::Default());
   env.FailNextAppend();
   env.FailNextSync();
   env.set_enabled(false);
-  const std::string path = TempPath("fault_disabled.bin");
-  std::remove(path.c_str());
+  const std::string path = tmp.File("fault_disabled.bin");
   auto file = env.NewTruncatedFile(path);
   CCE_CHECK_OK(file.status());
   CCE_CHECK_OK((*file)->Append("clean"));
   CCE_CHECK_OK((*file)->Sync());
   CCE_CHECK_OK((*file)->Close());
-  std::remove(path.c_str());
 }
 
 TEST(FaultEnvTest, SeededProbabilisticScheduleIsDeterministic) {
+  cce::testing::ScopedTestDir tmp;
   // Two envs with the same seed must fail the same operations — the crash
   // torture suite depends on reproducible schedules.
   FaultInjectingEnv::Options options;
@@ -228,7 +225,7 @@ TEST(FaultEnvTest, SeededProbabilisticScheduleIsDeterministic) {
   std::vector<bool> first, second;
   for (int run = 0; run < 2; ++run) {
     FaultInjectingEnv env(Env::Default(), options);
-    const std::string path = TempPath("fault_seeded.bin");
+    const std::string path = tmp.File("fault_seeded.bin");
     std::remove(path.c_str());
     auto file = env.NewTruncatedFile(path);
     CCE_CHECK_OK(file.status());

@@ -1,7 +1,6 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -52,15 +51,6 @@ size_t IterationBudget() {
   return parsed > 0 ? static_cast<size_t>(parsed) : 25;
 }
 
-void WipeDir(const std::string& dir) {
-  std::vector<std::string> names;
-  if (io::Env::Default()->ListDir(dir, &names).ok()) {
-    for (const std::string& entry : names) {
-      (void)io::Env::Default()->RemoveFile(dir + "/" + entry);
-    }
-  }
-}
-
 /// Supervisor tuned for tick-driven torture: act on the first confirmed
 /// fault, no wall-clock waits, no rate limit (determinism beats realism
 /// here — the rate limiter has its own test).
@@ -79,10 +69,9 @@ Supervisor::Options TortureSupervisor() {
 TEST(HaTortureTest, GroupSurvivesDualFaultsAndSelfHeals) {
   const size_t kShards = 4;
   const size_t kIterations = IterationBudget();
-  const std::string leader_dir = ::testing::TempDir() + "/ha_torture_leader";
-  const std::string ship_dir = ::testing::TempDir() + "/ha_torture_ship";
-  WipeDir(leader_dir);
-  WipeDir(ship_dir);
+  cce::testing::ScopedTestDir tmp;
+  const std::string leader_dir = tmp.File("leader");
+  const std::string ship_dir = tmp.File("ship");
 
   Dataset data = cce::testing::RandomContext(300, 4, 2, 31, /*noise=*/0.1);
   Rng rng(20260807);

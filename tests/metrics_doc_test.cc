@@ -4,7 +4,6 @@
 // table and the registry disagree in either direction — an undocumented
 // metric or a documented ghost both break tier 1.
 
-#include <cstdio>
 #include <fstream>
 #include <map>
 #include <set>
@@ -75,9 +74,8 @@ TEST(MetricsDocTest, DocAndLiveRegistryAgreeExactly) {
   // construction; no traffic is needed.
   testing::Fig2Context fig2;
   ParityModel model;
-  const std::string dir = ::testing::TempDir() + "/metrics_doc_wal";
-  std::remove((dir + "/context.wal").c_str());
-  std::remove((dir + "/context.snapshot").c_str());
+  cce::testing::ScopedTestDir tmp;
+  const std::string dir = tmp.File("leader");
   ExplainableProxy::Options options;
   options.monitor_drift = false;
   options.overload.enabled = true;
@@ -92,7 +90,7 @@ TEST(MetricsDocTest, DocAndLiveRegistryAgreeExactly) {
 
   // The replication pair registers its families in the same registry; one
   // ship + catch-up cycle also creates the lazy per-shard tail gauge.
-  const std::string ship_dir = ::testing::TempDir() + "/metrics_doc_ship";
+  const std::string ship_dir = tmp.File("ship");
   ShardLogShipper::Options ship_options;
   ship_options.source_dir = dir;
   ship_options.ship_dir = ship_dir;
@@ -155,9 +153,6 @@ TEST(MetricsDocTest, DocAndLiveRegistryAgreeExactly) {
         << "docs/metrics.md documents `" << name << "` (" << type
         << ") but no such metric is registered — stale doc entry";
   }
-
-  std::remove((dir + "/context.wal").c_str());
-  std::remove((dir + "/context.snapshot").c_str());
 }
 
 }  // namespace

@@ -427,7 +427,7 @@ TEST(NetServerTest, BatchExplainFrameAnswersEveryItemPositionally) {
     EXPECT_EQ(item.achieved_alpha, want[i].achieved_alpha) << "item " << i;
     EXPECT_EQ(item.backend, 0u);  // leader-only
   }
-  // The whole frame was one shared-build execution on the proxy.
+  // The whole frame was one shared-read execution on the proxy.
   EXPECT_GE(stack.proxy->Health().batch_executions, 1u);
 }
 
@@ -472,7 +472,7 @@ TEST(NetServerTest, BatchedFloodMeetsDeadlines) {
     ASSERT_TRUE(response.ok()) << response.status().ToString();
     if (response->status == WireStatus::kOk) ++ok;
   }
-  // The queued flood drains through shared builds: item throughput per
+  // The queued flood drains through shared reads: item throughput per
   // execution > 1, visible in the proxy's amortization counters.
   EXPECT_EQ(ok, kBatch) << "batching absorbed the flood within deadline";
   const serving::HealthSnapshot health = stack.proxy->Health();

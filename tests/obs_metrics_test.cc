@@ -32,7 +32,7 @@ TEST(CounterTest, StartsAtZeroAndAccumulates) {
 TEST(CounterTest, FindOrCreateReturnsTheSameCell) {
   Registry registry;
   Counter* a = registry.GetCounter("c_total", "help");
-  Counter* b = registry.GetCounter("c_total", "ignored on re-lookup");
+  Counter* b = registry.GetCounter("c_total", "");  // a lookup
   EXPECT_EQ(a, b);
   // Distinct label sets are distinct children of the same family; label
   // order is normalised, so a permuted set is the same child.
@@ -168,6 +168,14 @@ TEST(RegistryTest, TypeClashAborts) {
   Registry registry;
   registry.GetCounter("clash", "help");
   EXPECT_DEATH(registry.GetGauge("clash", "help"), "");
+}
+
+TEST(RegistryTest, HelpClashAborts) {
+  Registry registry;
+  registry.GetCounter("clash", "help");
+  registry.GetCounter("clash", "help", {{"shard", "1"}});  // same help
+  registry.GetCounter("clash", "");                          // a lookup
+  EXPECT_DEATH(registry.GetCounter("clash", "other help"), "");
 }
 
 TEST(ScopedLatencyTest, ObservesElapsedMicrosOnInjectedClock) {

@@ -4,7 +4,6 @@
 // SANITIZER=thread scripts/check.sh -R ProxyConcurrency for the full gate.
 
 #include <atomic>
-#include <cstdio>
 #include <string>
 #include <thread>
 #include <vector>
@@ -120,10 +119,8 @@ TEST_F(ProxyConcurrencyTest, ConcurrentPredictRecordExplain) {
 }
 
 TEST_F(ProxyConcurrencyTest, ConcurrentTrafficWithDurability) {
-  const std::string dir =
-      ::testing::TempDir() + "/cce_durability_concurrent";
-  std::remove((dir + "/context.wal").c_str());
-  std::remove((dir + "/context.snapshot").c_str());
+  cce::testing::ScopedTestDir tmp;
+  const std::string dir = tmp.path();
   ExplainableProxy::Options options;
   options.monitor_drift = false;
   options.durability.dir = dir;

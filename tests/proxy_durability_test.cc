@@ -3,7 +3,6 @@
 #include <memory>
 #include <sstream>
 #include <string>
-#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -38,18 +37,7 @@ class ProxyDurabilityTest : public ::testing::Test {
   }
 
   /// A fresh durability directory, unique per test.
-  std::string MakeDir(const std::string& tag) {
-    const std::string dir = ::testing::TempDir() + "/cce_durability_" + tag;
-    // Clear leftovers from a previous run (including shard files and
-    // orphaned temp files).
-    std::vector<std::string> names;
-    if (io::Env::Default()->ListDir(dir, &names).ok()) {
-      for (const std::string& name : names) {
-        (void)io::Env::Default()->RemoveFile(dir + "/" + name);
-      }
-    }
-    return dir;
-  }
+  std::string MakeDir(const std::string& tag) { return tmp_.File(tag); }
 
   ExplainableProxy::Options DurableOptions(const std::string& dir,
                                            size_t sync_every = 1) {
@@ -61,6 +49,7 @@ class ProxyDurabilityTest : public ::testing::Test {
   }
 
   std::unique_ptr<Dataset> data_;
+  cce::testing::ScopedTestDir tmp_;
 };
 
 TEST_F(ProxyDurabilityTest, KillRecoverRoundTripPreservesTheExplanation) {

@@ -5,7 +5,6 @@
 // and Prometheus/JSON exposition of a live proxy.
 
 #include <chrono>
-#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
@@ -185,11 +184,8 @@ TEST(ProxyObsTest, HealthIsAReadOfTheRegistry) {
 
 TEST(ProxyObsTest, WalFsyncsAreExportedToTheRegistry) {
   testing::Fig2Context fig2;
-  const std::string dir = ::testing::TempDir() + "/proxy_obs_wal";
-  // A leftover log from a previous run would replay into the context and
-  // skew the counters; start from a clean directory.
-  std::remove((dir + "/context.wal").c_str());
-  std::remove((dir + "/context.snapshot").c_str());
+  cce::testing::ScopedTestDir tmp;
+  const std::string dir = tmp.path();
   ExplainableProxy::Options options = QuietOptions();
   options.durability.dir = dir;
   options.durability.sync_every = 1;
@@ -209,8 +205,6 @@ TEST(ProxyObsTest, WalFsyncsAreExportedToTheRegistry) {
             reg.GetCounter("cce_wal_records_logged_total", "")->Value());
   EXPECT_EQ(reg.GetHistogram("cce_wal_append_us", "")->TakeSnapshot().count,
             3u);
-  std::remove((dir + "/context.wal").c_str());
-  std::remove((dir + "/context.snapshot").c_str());
 }
 
 TEST(ProxyObsTest, SharedRegistryAggregatesAcrossProxies) {

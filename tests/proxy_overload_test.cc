@@ -7,7 +7,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <thread>
@@ -228,9 +227,8 @@ TEST(ProxyOverloadTest, InputHardeningRejectsPoisonedInstances) {
 
 TEST(ProxyOverloadTest, PoisonedInstanceNeverReachesTheWal) {
   testing::Fig2Context fig2;
-  const std::string dir = ::testing::TempDir() + "/cce_overload_poison";
-  std::remove((dir + "/context.wal").c_str());
-  std::remove((dir + "/context.snapshot").c_str());
+  cce::testing::ScopedTestDir tmp;
+  const std::string dir = tmp.path();
   ExplainableProxy::Options options = QuietOptions();
   options.durability.dir = dir;
   size_t logged = 0;
@@ -289,9 +287,8 @@ TEST(ProxyOverloadTest, SingleRecordContextExplainsAndCounterfactuals) {
 
 TEST(ProxyOverloadTest, ExplainRacesRecordAcrossCompactionGenerations) {
   Dataset data = testing::RandomContext(400, 5, 3, 7, /*noise=*/0.0);
-  const std::string dir = ::testing::TempDir() + "/cce_overload_compact_race";
-  std::remove((dir + "/context.wal").c_str());
-  std::remove((dir + "/context.snapshot").c_str());
+  cce::testing::ScopedTestDir tmp;
+  const std::string dir = tmp.path();
   ExplainableProxy::Options options = QuietOptions();
   options.durability.dir = dir;
   options.durability.sync_every = 0;  // keep the race tight, not disk-bound

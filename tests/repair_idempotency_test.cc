@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include "common/logging.h"
-#include "io/env.h"
 #include "serving/context_shard.h"
 #include "serving/proxy.h"
 #include "serving/replica_proxy.h"
@@ -29,15 +28,6 @@ namespace {
 
 size_t StressScale() { return std::getenv("CCE_STRESS") != nullptr ? 4 : 1; }
 
-void WipeDir(const std::string& dir) {
-  std::vector<std::string> names;
-  if (io::Env::Default()->ListDir(dir, &names).ok()) {
-    for (const std::string& entry : names) {
-      (void)io::Env::Default()->RemoveFile(dir + "/" + entry);
-    }
-  }
-}
-
 void ExpectSameKey(const KeyResult& actual, const KeyResult& expected,
                    const char* when) {
   EXPECT_EQ(actual.key, expected.key) << when;
@@ -49,8 +39,8 @@ void ExpectSameKey(const KeyResult& actual, const KeyResult& expected,
 TEST(RepairIdempotencyTest, RepairShardOnHealthyShardIsANoOp) {
   const size_t kShards = 4;
   Dataset data = cce::testing::RandomContext(200, 4, 3, 23, /*noise=*/0.1);
-  const std::string dir = ::testing::TempDir() + "/repair_idem_leader";
-  WipeDir(dir);
+  cce::testing::ScopedTestDir tmp;
+  const std::string dir = tmp.File("leader");
   ExplainableProxy::Options options;
   options.monitor_drift = false;
   options.shards = kShards;
@@ -104,10 +94,9 @@ TEST(RepairIdempotencyTest, RepairShardOnHealthyShardIsANoOp) {
 TEST(RepairIdempotencyTest, ForceResyncOnInSyncReplicaIsInvisible) {
   const size_t kShards = 4;
   Dataset data = cce::testing::RandomContext(200, 4, 3, 29, /*noise=*/0.1);
-  const std::string leader_dir = ::testing::TempDir() + "/resync_idem_leader";
-  const std::string ship_dir = ::testing::TempDir() + "/resync_idem_ship";
-  WipeDir(leader_dir);
-  WipeDir(ship_dir);
+  cce::testing::ScopedTestDir tmp;
+  const std::string leader_dir = tmp.File("leader");
+  const std::string ship_dir = tmp.File("ship");
   ExplainableProxy::Options options;
   options.monitor_drift = false;
   options.shards = kShards;

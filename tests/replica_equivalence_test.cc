@@ -1,6 +1,5 @@
 #include <memory>
 #include <string>
-#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -22,17 +21,6 @@ namespace {
 /// served context) at any shard count — including after leader
 /// compactions, a follower restart, and a torn shipped segment healed by
 /// quarantine -> resync -> re-converge.
-
-std::string FreshDir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "/" + name;
-  std::vector<std::string> names;
-  if (io::Env::Default()->ListDir(dir, &names).ok()) {
-    for (const std::string& entry : names) {
-      (void)io::Env::Default()->RemoveFile(dir + "/" + entry);
-    }
-  }
-  return dir;
-}
 
 std::unique_ptr<ExplainableProxy> MakeLeader(const Dataset& data,
                                              size_t shards,
@@ -134,10 +122,11 @@ void ExpectSameStreamingKeys(ExplainableProxy& leader, ReplicaProxy& replica,
 }
 
 TEST(ReplicaEquivalenceTest, CaughtUpReplicaIsBitIdenticalAcrossShardCounts) {
+  cce::testing::ScopedTestDir tmp;
   for (size_t shards : {size_t{1}, size_t{4}}) {
     const std::string tag = "repl_eq_" + std::to_string(shards);
-    const std::string leader_dir = FreshDir(tag + "_leader");
-    const std::string ship_dir = FreshDir(tag + "_ship");
+    const std::string leader_dir = tmp.File(tag + "_leader");
+    const std::string ship_dir = tmp.File(tag + "_ship");
     Dataset data = cce::testing::RandomContext(150, 5, 3, 11, /*noise=*/0.1);
     auto leader = MakeLeader(data, shards, leader_dir);
     for (size_t row = 0; row < data.size(); ++row) {
@@ -168,10 +157,11 @@ TEST(ReplicaEquivalenceTest, CaughtUpReplicaIsBitIdenticalAcrossShardCounts) {
 }
 
 TEST(ReplicaEquivalenceTest, CompactionRestartAndIncrementalTailAgree) {
+  cce::testing::ScopedTestDir tmp;
   for (size_t shards : {size_t{1}, size_t{4}}) {
     const std::string tag = "repl_compact_" + std::to_string(shards);
-    const std::string leader_dir = FreshDir(tag + "_leader");
-    const std::string ship_dir = FreshDir(tag + "_ship");
+    const std::string leader_dir = tmp.File(tag + "_leader");
+    const std::string ship_dir = tmp.File(tag + "_ship");
     Dataset data = cce::testing::RandomContext(220, 5, 3, 57, /*noise=*/0.1);
     // A tiny compaction threshold forces several generation changes while
     // recording; a capacity forces real eviction on both sides.
@@ -217,9 +207,10 @@ TEST(ReplicaEquivalenceTest, CompactionRestartAndIncrementalTailAgree) {
 }
 
 TEST(ReplicaEquivalenceTest, TornShippedSegmentQuarantinesThenReconverges) {
+  cce::testing::ScopedTestDir tmp;
   const size_t kShards = 4;
-  const std::string leader_dir = FreshDir("repl_torn_leader");
-  const std::string ship_dir = FreshDir("repl_torn_ship");
+  const std::string leader_dir = tmp.File("repl_torn_leader");
+  const std::string ship_dir = tmp.File("repl_torn_ship");
   Dataset data = cce::testing::RandomContext(160, 5, 3, 91, /*noise=*/0.1);
   auto leader = MakeLeader(data, kShards, leader_dir);
 

@@ -4,12 +4,10 @@
 #include <memory>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/logging.h"
-#include "io/env.h"
 #include "serving/proxy.h"
 #include "serving/replica_proxy.h"
 #include "serving/replication.h"
@@ -34,22 +32,12 @@ bool StressMode() {
   return raw != nullptr && raw[0] != '\0' && raw[0] != '0';
 }
 
-void WipeDir(const std::string& dir) {
-  std::vector<std::string> names;
-  if (io::Env::Default()->ListDir(dir, &names).ok()) {
-    for (const std::string& entry : names) {
-      (void)io::Env::Default()->RemoveFile(dir + "/" + entry);
-    }
-  }
-}
-
 TEST(ReplicaStalenessTest, FollowerViewsArePrefixWindowsDuringWriteBursts) {
   const size_t kShards = 4;
   const size_t kRows = StressMode() ? 600 : 200;
-  const std::string leader_dir = ::testing::TempDir() + "/repl_stale_leader";
-  const std::string ship_dir = ::testing::TempDir() + "/repl_stale_ship";
-  WipeDir(leader_dir);
-  WipeDir(ship_dir);
+  cce::testing::ScopedTestDir tmp;
+  const std::string leader_dir = tmp.File("leader");
+  const std::string ship_dir = tmp.File("ship");
 
   Dataset data = cce::testing::RandomContext(kRows, 5, 3, 23, /*noise=*/0.1);
 

@@ -2,7 +2,6 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -44,22 +43,12 @@ size_t IterationBudget() {
   return parsed > 0 ? static_cast<size_t>(parsed) : 25;
 }
 
-void WipeDir(const std::string& dir) {
-  std::vector<std::string> names;
-  if (io::Env::Default()->ListDir(dir, &names).ok()) {
-    for (const std::string& entry : names) {
-      (void)io::Env::Default()->RemoveFile(dir + "/" + entry);
-    }
-  }
-}
-
 TEST(ReplicaTortureTest, DualKillRecoverLoopStaysConsistent) {
   const size_t kShards = 4;
   const size_t kIterations = IterationBudget();
-  const std::string leader_dir = ::testing::TempDir() + "/repl_torture_leader";
-  const std::string ship_dir = ::testing::TempDir() + "/repl_torture_ship";
-  WipeDir(leader_dir);
-  WipeDir(ship_dir);
+  cce::testing::ScopedTestDir tmp;
+  const std::string leader_dir = tmp.File("leader");
+  const std::string ship_dir = tmp.File("ship");
 
   Dataset data = cce::testing::RandomContext(300, 4, 2, 17, /*noise=*/0.1);
   Rng rng(20260808);

@@ -2,7 +2,6 @@
 
 #include "data/loader.h"
 
-#include <cstdio>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -80,12 +79,12 @@ TEST(DatasetIoTest, RejectsCorruptedInput) {
 
 TEST(DatasetIoTest, FileRoundTrip) {
   cce::testing::Fig2Context fig2;
-  const std::string path = ::testing::TempDir() + "/cce_dataset_test.txt";
+  cce::testing::ScopedTestDir tmp;
+  const std::string path = tmp.File("dataset.txt");
   CCE_CHECK_OK(SaveDatasetToFile(fig2.context, path));
   auto loaded = LoadDatasetFromFile(path);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded->size(), fig2.context.size());
-  std::remove(path.c_str());
 }
 
 TEST(DatasetIoTest, MissingFileFails) {
@@ -156,13 +155,13 @@ TEST(GbdtIoTest, FileRoundTrip) {
   Dataset data = cce::testing::RandomContext(200, 4, 3, 92);
   auto model = ml::Gbdt::Train(data, {});
   ASSERT_TRUE(model.ok());
-  const std::string path = ::testing::TempDir() + "/cce_model_test.txt";
+  cce::testing::ScopedTestDir tmp;
+  const std::string path = tmp.File("model.txt");
   CCE_CHECK_OK(SaveGbdtToFile(**model, path));
   auto loaded = LoadGbdtFromFile(path);
   ASSERT_TRUE(loaded.ok());
   EXPECT_DOUBLE_EQ((*loaded)->Margin(data.instance(0)),
                    (*model)->Margin(data.instance(0)));
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include "common/logging.h"
-#include "io/env.h"
 #include "serving/proxy.h"
 #include "serving/replica_proxy.h"
 #include "serving/replication.h"
@@ -18,18 +17,10 @@
 namespace cce::serving {
 namespace {
 
-void WipeDir(const std::string& dir) {
-  std::vector<std::string> names;
-  if (io::Env::Default()->ListDir(dir, &names).ok()) {
-    for (const std::string& entry : names) {
-      (void)io::Env::Default()->RemoveFile(dir + "/" + entry);
-    }
-  }
-}
-
 /// A durable leader with `rows` recorded, one clean ship cycle, and one
 /// caught-up replica — the minimal two-backend group substrate.
 struct GroupStack {
+  cce::testing::ScopedTestDir tmp;  // declared first: outlives every file user
   Dataset data;
   std::string leader_dir;
   std::string ship_dir;
@@ -37,12 +28,10 @@ struct GroupStack {
   std::unique_ptr<ShardLogShipper> shipper;
   std::unique_ptr<ReplicaProxy> replica;
 
-  explicit GroupStack(const std::string& name, size_t rows = 64)
+  explicit GroupStack(size_t rows = 64)
       : data(cce::testing::RandomContext(200, 4, 3, 11, /*noise=*/0.1)),
-        leader_dir(::testing::TempDir() + "/" + name + "_leader"),
-        ship_dir(::testing::TempDir() + "/" + name + "_ship") {
-    WipeDir(leader_dir);
-    WipeDir(ship_dir);
+        leader_dir(tmp.File("leader")),
+        ship_dir(tmp.File("ship")) {
     ExplainableProxy::Options options;
     options.monitor_drift = false;
     options.shards = 4;
@@ -97,7 +86,7 @@ TEST(ServingGroupTest, RoutePolicyNames) {
 }
 
 TEST(ServingGroupTest, CreateValidatesArguments) {
-  GroupStack stack("group_create");
+  GroupStack stack;
   ServingGroup::Options options;
   EXPECT_FALSE(ServingGroup::Create(nullptr, {}, options).ok());
   EXPECT_FALSE(
@@ -108,7 +97,7 @@ TEST(ServingGroupTest, CreateValidatesArguments) {
 }
 
 TEST(ServingGroupTest, LeaderOnlyNeverConsultsReplica) {
-  GroupStack stack("group_leader_only");
+  GroupStack stack;
   ServingGroup::Options options;
   options.policy = RoutePolicy::kLeaderOnly;
   auto group = stack.MakeGroup(options);
@@ -131,7 +120,7 @@ TEST(ServingGroupTest, LeaderOnlyNeverConsultsReplica) {
 }
 
 TEST(ServingGroupTest, PreferFreshFailsOverToReplicaWhenLeaderEvicted) {
-  GroupStack stack("group_failover");
+  GroupStack stack;
   ServingGroup::Options options;
   options.hedge = false;
   auto group = stack.MakeGroup(options);
@@ -156,7 +145,7 @@ TEST(ServingGroupTest, PreferFreshFailsOverToReplicaWhenLeaderEvicted) {
 }
 
 TEST(ServingGroupTest, HedgesToReplicaWhenLeaderIsSlow) {
-  GroupStack stack("group_hedge");
+  GroupStack stack;
   ServingGroup::Options options;
   options.hedge_min_delay = std::chrono::milliseconds(1);
   options.hedge_max_delay = std::chrono::milliseconds(2);
@@ -185,7 +174,7 @@ TEST(ServingGroupTest, HedgesToReplicaWhenLeaderIsSlow) {
 }
 
 TEST(ServingGroupTest, StaleHedgeIsFencedOut) {
-  GroupStack stack("group_fence");
+  GroupStack stack;
   // Advance the leader past the shipped state so the replica's view is
   // strictly behind the fence.
   for (size_t i = 64; i < 96; ++i) {
@@ -219,7 +208,7 @@ TEST(ServingGroupTest, StaleHedgeIsFencedOut) {
 }
 
 TEST(ServingGroupTest, ServedFloorKeepsNonDegradedViewsMonotonic) {
-  GroupStack stack("group_floor");
+  GroupStack stack;
   ServingGroup::Options options;
   options.hedge = false;
   auto group = stack.MakeGroup(options);
@@ -242,7 +231,7 @@ TEST(ServingGroupTest, ServedFloorKeepsNonDegradedViewsMonotonic) {
 }
 
 TEST(ServingGroupTest, RecordGoesToLeaderAndCounterfactualsRoute) {
-  GroupStack stack("group_writes");
+  GroupStack stack;
   ServingGroup::Options options;
   options.hedge = false;
   auto group = stack.MakeGroup(options);
@@ -256,7 +245,7 @@ TEST(ServingGroupTest, RecordGoesToLeaderAndCounterfactualsRoute) {
 }
 
 TEST(ServingGroupTest, InvalidArgumentDoesNotTripTheBreaker) {
-  GroupStack stack("group_invalid");
+  GroupStack stack;
   ServingGroup::Options options;
   options.hedge = false;
   options.breaker.failure_threshold = 2;
@@ -277,9 +266,8 @@ TEST(ServingGroupTest, BreakerOpensOnPersistentBackendFailure) {
   // kFailedPrecondition; with the leader evicted the group has only that
   // broken backend, so its breaker must open and fail fast.
   Dataset data = cce::testing::RandomContext(64, 4, 3, 12, /*noise=*/0.1);
-  const std::string empty_ship =
-      ::testing::TempDir() + "/group_breaker_empty_ship";
-  WipeDir(empty_ship);
+  cce::testing::ScopedTestDir tmp;
+  const std::string empty_ship = tmp.File("empty_ship");
   ExplainableProxy::Options leader_options;
   leader_options.monitor_drift = false;
   auto leader_or =
@@ -310,7 +298,7 @@ TEST(ServingGroupTest, BreakerOpensOnPersistentBackendFailure) {
 }
 
 TEST(ServingGroupTest, LoneBatchItemIsHedgedLikeAScalarExplain) {
-  GroupStack stack("group_batch_hedge");
+  GroupStack stack;
   ServingGroup::Options options;
   options.hedge_min_delay = std::chrono::milliseconds(1);
   options.hedge_max_delay = std::chrono::milliseconds(2);
@@ -338,7 +326,7 @@ TEST(ServingGroupTest, LoneBatchItemIsHedgedLikeAScalarExplain) {
 }
 
 TEST(ServingGroupTest, BatchFailsOverToReplicaWhenLeaderEvicted) {
-  GroupStack stack("group_batch_failover");
+  GroupStack stack;
   ServingGroup::Options options;
   auto group = stack.MakeGroup(options);
   group->EvictBackend(0);
@@ -404,7 +392,7 @@ TEST(ServingGroupTest, AllMalformedBatchLeavesHalfOpenBreakerHalfOpen) {
 }
 
 TEST(ServingGroupTest, HealthReflectsEvictionAndFreshness) {
-  GroupStack stack("group_health");
+  GroupStack stack;
   ServingGroup::Options options;
   options.hedge = false;
   auto group = stack.MakeGroup(options);

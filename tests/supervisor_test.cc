@@ -5,12 +5,10 @@
 #include <memory>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/logging.h"
-#include "io/env.h"
 #include "serving/proxy.h"
 #include "serving/replica_proxy.h"
 #include "serving/replication.h"
@@ -20,15 +18,6 @@
 
 namespace cce::serving {
 namespace {
-
-void WipeDir(const std::string& dir) {
-  std::vector<std::string> names;
-  if (io::Env::Default()->ListDir(dir, &names).ok()) {
-    for (const std::string& entry : names) {
-      (void)io::Env::Default()->RemoveFile(dir + "/" + entry);
-    }
-  }
-}
 
 void WriteFileBytes(const std::string& path, const std::string& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
@@ -54,6 +43,7 @@ uint64_t SupervisorCounter(ServingGroup& group, const char* name) {
 /// A durable leader + clean shipped replica, with helpers to corrupt the
 /// replication path.
 struct SupervisedStack {
+  cce::testing::ScopedTestDir tmp;  // declared first: outlives every file user
   Dataset data;
   std::string leader_dir;
   std::string ship_dir;
@@ -62,12 +52,10 @@ struct SupervisedStack {
   std::unique_ptr<ReplicaProxy> replica;
   std::unique_ptr<ServingGroup> group;
 
-  explicit SupervisedStack(const std::string& name)
+  SupervisedStack()
       : data(cce::testing::RandomContext(200, 4, 3, 13, /*noise=*/0.1)),
-        leader_dir(::testing::TempDir() + "/" + name + "_leader"),
-        ship_dir(::testing::TempDir() + "/" + name + "_ship") {
-    WipeDir(leader_dir);
-    WipeDir(ship_dir);
+        leader_dir(tmp.File("leader")),
+        ship_dir(tmp.File("ship")) {
     ExplainableProxy::Options options;
     options.monitor_drift = false;
     options.shards = 4;
@@ -136,8 +124,8 @@ TEST(SupervisorTest, LevelNames) {
 
 TEST(SupervisorTest, RepairsQuarantinedLeaderShardWithoutManualCalls) {
   Dataset data = cce::testing::RandomContext(120, 4, 3, 7, /*noise=*/0.1);
-  const std::string dir = ::testing::TempDir() + "/supervisor_repair_leader";
-  WipeDir(dir);
+  cce::testing::ScopedTestDir tmp;
+  const std::string dir = tmp.File("leader");
   ExplainableProxy::Options options;
   options.monitor_drift = false;
   options.shards = 4;
@@ -180,7 +168,7 @@ TEST(SupervisorTest, RepairsQuarantinedLeaderShardWithoutManualCalls) {
 }
 
 TEST(SupervisorTest, WalksTheFullLadderOnAnUnhealableReplica) {
-  SupervisedStack stack("supervisor_ladder");
+  SupervisedStack stack;
   stack.CorruptShippedWals();
   CCE_CHECK_OK(stack.replica->CatchUp());
   ASSERT_TRUE(stack.replica->GetHealth().degraded);
@@ -231,8 +219,8 @@ TEST(SupervisorTest, WalksTheFullLadderOnAnUnhealableReplica) {
 
 TEST(SupervisorTest, TokenBucketLimitsActionsAcrossDomains) {
   Dataset data = cce::testing::RandomContext(120, 4, 3, 9, /*noise=*/0.1);
-  const std::string dir = ::testing::TempDir() + "/supervisor_bucket";
-  WipeDir(dir);
+  cce::testing::ScopedTestDir tmp;
+  const std::string dir = tmp.File("leader");
   ExplainableProxy::Options options;
   options.monitor_drift = false;
   options.shards = 4;
@@ -276,7 +264,7 @@ TEST(SupervisorTest, TokenBucketLimitsActionsAcrossDomains) {
 }
 
 TEST(SupervisorTest, JitteredBackoffGatesRepeatedRepairs) {
-  SupervisedStack stack("supervisor_backoff");
+  SupervisedStack stack;
   stack.CorruptShippedWals();
   CCE_CHECK_OK(stack.replica->CatchUp());
 
@@ -302,7 +290,7 @@ TEST(SupervisorTest, JitteredBackoffGatesRepeatedRepairs) {
 }
 
 TEST(SupervisorTest, StartStopIsIdempotentAndTicksInBackground) {
-  SupervisedStack stack("supervisor_startstop");
+  SupervisedStack stack;
   Supervisor::Options options = FastSupervisor();
   options.poll_interval = std::chrono::milliseconds(5);
   Supervisor supervisor(stack.group.get(), options);
