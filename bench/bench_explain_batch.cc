@@ -61,9 +61,9 @@ class ParityModel : public Model {
   }
 };
 
-/// The bench_net flood stack with the explanation cache defeated: wire
-/// admission provisioned to a known Explain rate, proxy admission open
-/// (refill 0 = unlimited) and `explain_cache.capacity = 0`, so an OK
+/// The bench_net flood stack with the explanation cache defeated: the
+/// proxy's admission — the stack's one admission point — provisioned to
+/// a known Explain rate and `explain_cache.capacity = 0`, so an OK
 /// response can only mean a full search ran — cached serves cannot
 /// inflate either side of the ratio.
 struct Stack {
@@ -78,8 +78,14 @@ struct Stack {
                                          /*noise=*/0.0)) {
     serving::ExplainableProxy::Options proxy_options;
     proxy_options.monitor_drift = false;
+    // Provision the Explain budget explicitly so the flood factor is
+    // known: refill 500/s with a 50-token burst. With batching on, one
+    // admission charge covers a whole drained group — that is the
+    // amortization under test.
     proxy_options.overload.enabled = true;
-    proxy_options.overload.explain_bucket.refill_per_sec = 0.0;
+    proxy_options.overload.explain_bucket.refill_per_sec =
+        kProvisionedExplainRps;
+    proxy_options.overload.explain_bucket.burst = 50.0;
     proxy_options.explain_cache.capacity = 0;
     auto proxy_or = serving::ExplainableProxy::Create(data.schema_ptr(),
                                                       &model, proxy_options);
@@ -99,12 +105,6 @@ struct Stack {
     options.port = 0;
     options.worker_threads = 2;
     options.max_explain_batch = max_explain_batch;
-    // Provision the wire's Explain budget explicitly so the flood factor
-    // is known: refill 500/s with a 50-token burst. With batching on,
-    // one admission charge covers a whole drained group — that is the
-    // amortization under test.
-    options.overload.explain_bucket.refill_per_sec = kProvisionedExplainRps;
-    options.overload.explain_bucket.burst = 50.0;
     auto server_or = NetServer::Create(group.get(), options);
     CCE_CHECK_OK(server_or.status());
     server = std::move(server_or).value();
@@ -201,7 +201,8 @@ int Main() {
       "  \"note\": \"Amortized batch Explain under the PR 9 flood "
       "(bench_explain_batch, RelWithDebInfo, in-process loadgen over "
       "loopback). Open-loop Explain-only arrivals at %.0fx the "
-      "provisioned rate (wire token bucket refill %.0f/s, burst 50) "
+      "provisioned rate (the proxy's token bucket, the stack's one "
+      "admission point: refill %.0f/s, burst 50) "
       "against a %zu-row context, %zu-instance pool, explanation cache "
       "DISABLED so every OK response is a live key from a full search; "
       "medians of %d 2s runs after a warm-up pass. per_request runs the "
@@ -221,10 +222,12 @@ int Main() {
               std::thread::hardware_concurrency());
   std::printf("    \"mhz_per_cpu\": 2100,\n");
   std::printf(
-      "    \"caveat\": \"shared 1-core container: server loop, workers "
-      "and loadgen threads timeslice one CPU, so absolute keys/sec "
-      "understates a real deployment; the speedup ratio compares two "
-      "runs under the same schedule and is the stable signal.\"\n");
+      "    \"caveat\": \"shared container host: server loop, workers "
+      "and loadgen threads run in one process on these CPUs, beside "
+      "other tenants, so absolute keys/sec understates a real "
+      "deployment. The speedup ratio compares two runs under the same "
+      "schedule, but it tracks how deep the queue grows before a worker "
+      "drains it, so it varies with the host's core count and load.\"\n");
   std::printf("  },\n");
   std::printf("  \"benchmarks\": [\n");
   std::printf(

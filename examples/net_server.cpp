@@ -60,7 +60,11 @@ int main(int argc, char** argv) {
 
   serving::ExplainableProxy::Options proxy_options;
   proxy_options.context_capacity = 0;
-  proxy_options.overload.enabled = true;  // arms the explain cache
+  // The proxy's admission controller is the stack's one admission point,
+  // and it arms the explain cache its sheds fall back to. No registry is
+  // passed anywhere: the group aliases the proxy's and the server the
+  // group's, so /metrics shows admission beside the wire counters.
+  proxy_options.overload.enabled = true;
   auto proxy = serving::ExplainableProxy::Create(dataset->schema_ptr(),
                                                  model->get(), proxy_options);
   CCE_CHECK_OK(proxy.status());
@@ -106,9 +110,11 @@ int main(int argc, char** argv) {
   std::printf("draining...\n");
   (*server)->Stop();
   const auto stats = (*server)->GetStats();
-  std::printf("served %llu requests over %llu connections (%llu sheds)\n",
-              static_cast<unsigned long long>(stats.requests),
-              static_cast<unsigned long long>(stats.accepted),
-              static_cast<unsigned long long>(stats.sheds));
+  std::printf(
+      "served %llu requests over %llu connections (%llu queue-overflow "
+      "sheds)\n",
+      static_cast<unsigned long long>(stats.requests),
+      static_cast<unsigned long long>(stats.accepted),
+      static_cast<unsigned long long>(stats.sheds));
   return 0;
 }

@@ -11,10 +11,10 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
-#include <optional>
 #include <utility>
 
 #include "obs/exposition.h"
+#include "serving/overload.h"
 
 namespace cce::net {
 namespace {
@@ -28,6 +28,10 @@ constexpr size_t kMaxOutBuffer = 32u << 20;
 
 /// Largest HTTP request head the /metrics path will buffer.
 constexpr size_t kMaxHttpHeader = 8192;
+
+/// Bytes read per read() call on the loop; a connection gets at most four
+/// per tick.
+constexpr size_t kReadChunk = 64 * 1024;
 
 serving::RequestClass ClassFor(MessageType type) {
   switch (type) {
@@ -69,10 +73,6 @@ NetServer::NetServer(serving::ServingGroup* group, const Options& options)
                   ? options_.registry
                   : std::shared_ptr<obs::Registry>(std::shared_ptr<void>(),
                                                    &group_->registry());
-  if (options_.overload.enabled) {
-    controller_ = std::make_unique<serving::OverloadController>(
-        options_.overload, registry_.get());
-  }
   workers_ =
       std::make_unique<ThreadPool>(std::max<size_t>(1, options_.worker_threads));
   worker_gauges_ = std::make_unique<obs::ThreadPoolGauges>(
@@ -116,13 +116,9 @@ void NetServer::InitInstruments() {
   }
   responses_ = reg->GetCounter("cce_net_responses_total",
                                "Response frames queued to the wire");
-  auto shed = [&](const char* cause) {
-    return reg->GetCounter("cce_net_sheds_total",
-                           "Requests shed at the wire, by cause",
-                           {{"cause", cause}});
-  };
-  shed_admission_ = shed("admission");
-  shed_overflow_ = shed("queue_overflow");
+  shed_overflow_ = reg->GetCounter("cce_net_sheds_total",
+                                   "Requests shed at the wire, by cause",
+                                   {{"cause", "queue_overflow"}});
   auto proto = [&](const char* cause) {
     return reg->GetCounter("cce_net_protocol_errors_total",
                            "Malformed frames / streams, by cause",
@@ -387,10 +383,10 @@ void NetServer::HandleReadable(Connection* conn) {
   }
   // Bounded read budget per tick; level-triggered epoll re-arms for the
   // remainder, so one firehose client cannot monopolise a tick.
-  size_t budget = options_.read_chunk * 4;
+  size_t budget = kReadChunk * 4;
   bool eof = false;
   while (budget > 0) {
-    const size_t chunk = std::min(options_.read_chunk, budget);
+    const size_t chunk = std::min(kReadChunk, budget);
     const size_t old = conn->in.size();
     conn->in.resize(old + chunk);
     ssize_t n = ::read(conn->fd, conn->in.data() + old, chunk);
@@ -560,26 +556,14 @@ void NetServer::DispatchRequest(Connection* conn, Request request) {
   const Clock::time_point started = Clock::now();
   // Deadlines start at dispatch, a BATCH_EXPLAIN item's too.
   const Deadline deadline = DeadlineFor(request.deadline_ms);
-  // Cheap classes pass the token bucket right here on the loop thread
-  // (AdmitCheap never blocks); expensive classes do their full —
-  // possibly blocking — admission on a worker.
-  if (controller_ != nullptr && (cls == serving::RequestClass::kPredict ||
-                                 cls == serving::RequestClass::kRecord)) {
-    Status admit = controller_->AdmitCheap(cls);
-    if (!admit.ok()) {
-      shed_admission_->Increment();
-      QueueResponse(conn, ShedResponse(request, admit), started);
-      return;
-    }
-  }
   if (pending_.load(std::memory_order_relaxed) >= options_.max_pending) {
     shed_overflow_->Increment();
-    Response shed = ShedResponse(
-        request, Status::ResourceExhausted("dispatch queue full"));
-    if (shed.retry_after_ms == 0) {
-      shed.retry_after_ms =
-          static_cast<uint32_t>(options_.overflow_retry_after.count());
-    }
+    Response shed;
+    shed.type = ResponseTypeFor(request.type);
+    shed.request_id = request.request_id;
+    SetFailure(Status::ResourceExhausted("dispatch queue full"), &shed);
+    shed.retry_after_ms =
+        static_cast<uint32_t>(options_.overflow_retry_after.count());
     QueueResponse(conn, shed, started);
     return;
   }
@@ -612,14 +596,7 @@ void NetServer::DispatchRequest(Connection* conn, Request request) {
       Response response;
       response.type = MessageType::kBatchExplainResponse;
       response.request_id = request_id;
-      ExplainAnswers answers = ExecuteExplains(std::move(items));
-      if (answers.shed_items > 0) {
-        // A shed frame is one shed, answered by the frame's own status.
-        shed_admission_->Increment();
-        SetFailure(answers.shed, &response);
-      } else {
-        response.batch = std::move(answers.items);
-      }
+      response.batch = ExecuteExplains(std::move(items));
       Complete(conn_id, started, response);
     });
     return;
@@ -640,15 +617,8 @@ void NetServer::Complete(uint64_t conn_id, Clock::time_point started,
 void NetServer::DrainExplainQueue() {
   std::vector<PendingExplain> batch;
   {
-    std::unique_lock<std::mutex> lock(explain_mu_);
+    std::lock_guard<std::mutex> lock(explain_mu_);
     if (explain_queue_.empty()) return;  // a bigger drain already took it
-    if (explain_queue_.size() < options_.max_explain_batch &&
-        options_.explain_batch_linger.count() > 0) {
-      lock.unlock();
-      std::this_thread::sleep_for(options_.explain_batch_linger);
-      lock.lock();
-      if (explain_queue_.empty()) return;
-    }
     const size_t take =
         std::min(std::max<size_t>(1, options_.max_explain_batch),
                  explain_queue_.size());
@@ -663,11 +633,10 @@ void NetServer::DrainExplainQueue() {
   for (PendingExplain& pending : batch) {
     items.push_back(std::move(pending.item));
   }
-  ExplainAnswers answers = ExecuteExplains(std::move(items));
-  // Each drained request is its own wire frame, so each shed counts.
-  shed_admission_->Add(answers.shed_items);
+  std::vector<Response::BatchExplainItem> answers =
+      ExecuteExplains(std::move(items));
   for (size_t i = 0; i < batch.size(); ++i) {
-    Response::BatchExplainItem& answer = answers.items[i];
+    Response::BatchExplainItem& answer = answers[i];
     Response response;
     response.type = MessageType::kExplainResponse;
     response.request_id = batch[i].request_id;
@@ -683,20 +652,19 @@ void NetServer::DrainExplainQueue() {
   }
 }
 
-NetServer::ExplainAnswers NetServer::ExecuteExplains(
+std::vector<Response::BatchExplainItem> NetServer::ExecuteExplains(
     std::vector<serving::BatchQuery> items) {
-  ExplainAnswers answers;
-  answers.items.resize(items.size());
+  std::vector<Response::BatchExplainItem> answers(items.size());
   batch_size_->Observe(static_cast<int64_t>(items.size()));
   // An item whose budget is already spent is a deadline miss, answered
-  // before admission: it is never shed and never charged. The live items
-  // keep their order at the front of `items`.
+  // before any work: the proxy never admits, sheds or charges it. The
+  // live items keep their order at the front of `items`.
   std::vector<size_t> live;
   live.reserve(items.size());
   for (size_t i = 0; i < items.size(); ++i) {
     if (items[i].deadline.expired()) {
       SetFailure(Status::DeadlineExceeded("deadline expired before execution"),
-                 &answers.items[i]);
+                 &answers[i]);
       continue;
     }
     if (live.size() != i) items[live.size()] = std::move(items[i]);
@@ -704,31 +672,10 @@ NetServer::ExplainAnswers NetServer::ExecuteExplains(
   }
   if (live.empty()) return answers;
   items.resize(live.size());
-  // One admission charge for the rest — the expensive unit is the shared
-  // index read — bounded by the earliest deadline so nobody queues past
-  // its own budget.
-  std::optional<serving::OverloadController::Permit> permit;
-  if (controller_ != nullptr) {
-    Deadline admit_deadline = items.front().deadline;
-    for (const serving::BatchQuery& item : items) {
-      if (item.deadline.expiry() < admit_deadline.expiry()) {
-        admit_deadline = item.deadline;
-      }
-    }
-    auto admitted = controller_->AdmitExpensive(
-        serving::RequestClass::kExplain, admit_deadline);
-    if (!admitted.ok()) {
-      answers.shed = admitted.status();
-      answers.shed_items = live.size();
-      for (size_t i : live) SetFailure(answers.shed, &answers.items[i]);
-      return answers;
-    }
-    permit.emplace(std::move(admitted).value());
-  }
   std::vector<Result<serving::ServingGroup::ExplainResult>> results =
       group_->ExplainBatch(items);
   for (size_t j = 0; j < live.size(); ++j) {
-    Response::BatchExplainItem& answer = answers.items[live[j]];
+    Response::BatchExplainItem& answer = answers[live[j]];
     if (!results[j].ok()) {
       SetFailure(results[j].status(), &answer);
       continue;
@@ -745,15 +692,6 @@ NetServer::ExplainAnswers NetServer::ExecuteExplains(
     answer.key = std::move(explained.key.key);
   }
   return answers;
-}
-
-Response NetServer::ShedResponse(const Request& request,
-                                 const Status& shed) const {
-  Response response;
-  response.type = ResponseTypeFor(request.type);
-  response.request_id = request.request_id;
-  SetFailure(shed, &response);
-  return response;
 }
 
 Response NetServer::ExecuteRequest(const Request& request,
@@ -785,18 +723,8 @@ Response NetServer::ExecuteRequest(const Request& request,
       break;
     }
     case MessageType::kCounterfactualsRequest: {
-      std::optional<serving::OverloadController::Permit> permit;
-      if (controller_ != nullptr) {
-        auto admitted = controller_->AdmitExpensive(
-            serving::RequestClass::kCounterfactuals, deadline);
-        if (!admitted.ok()) {
-          shed_admission_->Increment();
-          SetFailure(admitted.status(), &response);
-          return response;
-        }
-        permit.emplace(std::move(admitted).value());
-      }
-      auto result = group_->Counterfactuals(request.instance, request.label);
+      auto result = group_->Counterfactuals(request.instance, request.label,
+                                            deadline);
       if (!result.ok()) {
         SetFailure(result.status(), &response);
         return response;
@@ -962,7 +890,7 @@ NetServer::Stats NetServer::GetStats() const {
     stats.requests += counter->Value();
   }
   stats.responses = responses_->Value();
-  stats.sheds = shed_admission_->Value() + shed_overflow_->Value();
+  stats.sheds = shed_overflow_->Value();
   stats.protocol_errors = proto_err_magic_->Value() +
                           proto_err_version_->Value() +
                           proto_err_type_->Value() + proto_err_body_->Value() +

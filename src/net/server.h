@@ -17,7 +17,6 @@
 #include "common/thread_pool.h"
 #include "net/protocol.h"
 #include "obs/metrics.h"
-#include "serving/overload.h"
 #include "serving/serving_group.h"
 
 namespace cce::net {
@@ -29,27 +28,26 @@ namespace cce::net {
 ///
 /// Batched per tick (docs/architecture.md has the lifecycle diagram): one
 /// epoll_wait wakes the loop, every readable connection is drained and
-/// *all* complete frames are decoded, each decoded request passes wire
-/// admission, completed responses are coalesced per connection, and each
-/// dirty connection gets ONE write() at the end of the tick — so a
-/// pipelined client amortises the syscall pair across its whole batch.
+/// *all* complete frames are decoded, each decoded request is handed to a
+/// small worker pool, completed responses are coalesced per connection,
+/// and each dirty connection gets ONE write() at the end of the tick — so
+/// a pipelined client amortises the syscall pair across its whole batch.
 ///
-/// Admission happens at the wire, not in-process: the server owns an
-/// OverloadController (Options::overload) and every shed becomes a typed
-/// response frame carrying WireStatus::kResourceExhausted, the cause
-/// string, and a machine-readable retry_after_ms — clients that honour
-/// the hint flatten their own flood (docs/operations.md). Cheap classes
-/// (Predict/Record) are admitted on the loop thread (token bucket only,
-/// never blocks); expensive classes (Explain/Counterfactuals) are handed
-/// to a small worker pool whose threads wait out the controller's
-/// bounded admission queue, so the event loop itself never blocks on a
-/// slot or a key search.
+/// The server does not admit requests: the leader proxy's
+/// OverloadController is the stack's one admission point. The wire keeps
+/// only the checks that need wire state — items already past their
+/// deadline are answered kDeadlineExceeded before any work, and arrivals
+/// beyond max_pending are shed with `queue_overflow` — and every proxy
+/// answer, sheds and their retry_after_ms hints included, travels in a
+/// typed response frame (docs/operations.md). Workers may wait out the
+/// proxy's admission queue; the event loop never blocks on a slot or a
+/// key search.
 ///
 /// One Explain path: a scalar EXPLAIN_REQUEST is a batch of one. Each is
 /// queued and drained with whatever batchmates are waiting, and a drain
 /// and a BATCH_EXPLAIN frame run the same executor (ExecuteExplains): an
-/// already-expired item is answered kDeadlineExceeded before admission,
-/// the rest pay one admission charge and one ServingGroup::ExplainBatch.
+/// already-expired item is answered kDeadlineExceeded up front, the rest
+/// go to one ServingGroup::ExplainBatch.
 ///
 /// Robustness contract (SUITE=net tortures it under ASan): a connection
 /// that dies mid-frame, sends garbage, lies about body_len, or stalls a
@@ -81,8 +79,8 @@ class NetServer {
     std::chrono::milliseconds stalled_frame_timeout{5000};
 
     /// Worker threads executing requests against the serving group (the
-    /// admission queue wait for expensive classes happens here, off the
-    /// event loop).
+    /// proxy's admission queue wait for expensive classes happens here,
+    /// off the event loop).
     size_t worker_threads = 2;
     /// Requests allowed in flight between loop and workers; arrivals
     /// beyond it are shed at the wire with
@@ -92,35 +90,20 @@ class NetServer {
     /// retry_after_ms hint attached to queue_overflow sheds.
     std::chrono::milliseconds overflow_retry_after{5};
 
-    static serving::OverloadController::Options DefaultOverload() {
-      serving::OverloadController::Options o;
-      o.enabled = true;
-      return o;
-    }
-    /// Wire-level admission control. Enabled by default — the point of a
-    /// shared network front end; the default buckets have refill 0 =
-    /// unlimited rate, so everything is admitted while the shed
-    /// machinery (and its metrics) stays armed.
-    serving::OverloadController::Options overload = DefaultOverload();
-
     /// Deadline applied to requests that carry deadline_ms = 0; 0 = none.
     uint32_t default_deadline_ms = 0;
 
     /// Upper bound on Explain items answered by one shared-read key
     /// search (docs/operations.md). Every EXPLAIN_REQUEST frame is queued,
     /// and a drain takes up to this many and executes them as one
-    /// serving::ServingGroup::ExplainBatch — one admission charge, one
-    /// read of the shard indexes — so queue depth under a flood becomes
-    /// batch throughput instead of sheds. At 1 each drain takes one
+    /// serving::ServingGroup::ExplainBatch — one proxy admission charge,
+    /// one read of the shard indexes — so queue depth under a flood
+    /// becomes batch throughput instead of sheds. A drain never waits for
+    /// more, so an idle server adds no latency. At 1 each drain takes one
     /// request, a batch of one. BATCH_EXPLAIN frames are always executed
     /// as the client-formed batch regardless of this knob. Keys are
     /// bit-identical at any batch split.
     size_t max_explain_batch = 16;
-    /// How long a drain may wait for more queued Explains before running
-    /// a partial batch. 0 (default) never waits: a drain takes whatever
-    /// is queued at that instant, so an idle server adds no latency and a
-    /// flooded one batches naturally off its own backlog.
-    std::chrono::milliseconds explain_batch_linger{0};
 
     /// How long Stop() lets in-flight work and unflushed responses drain
     /// before closing connections.
@@ -129,9 +112,6 @@ class NetServer {
     /// Metric sink; null aliases the serving group's registry so one
     /// /metrics scrape exposes the whole stack.
     std::shared_ptr<obs::Registry> registry;
-
-    /// Bytes read per read() call on the loop.
-    size_t read_chunk = 64 * 1024;
   };
 
   /// Point-in-time counters assembled from the registry cells (tests).
@@ -141,6 +121,8 @@ class NetServer {
     uint64_t open = 0;
     uint64_t requests = 0;
     uint64_t responses = 0;
+    /// queue_overflow sheds; admission sheds are the proxy's
+    /// (`cce_shed_total{cause}`).
     uint64_t sheds = 0;
     uint64_t protocol_errors = 0;
     uint64_t dropped_responses = 0;
@@ -214,14 +196,6 @@ class NetServer {
     serving::BatchQuery item;
   };
 
-  /// ExecuteExplains' answers, positional. `shed_items` counts the entries
-  /// wire admission shed with `shed`.
-  struct ExplainAnswers {
-    std::vector<Response::BatchExplainItem> items;
-    Status shed;
-    size_t shed_items = 0;
-  };
-
   NetServer(serving::ServingGroup* group, const Options& options);
 
   Status Listen();
@@ -237,19 +211,17 @@ class NetServer {
   void DispatchRequest(Connection* conn, Request request);
   /// A request's deadline from its wire budget (0 = the server default).
   Deadline DeadlineFor(uint32_t deadline_ms) const;
-  /// Runs on a worker: Predict, Record and Counterfactuals (admission for
-  /// the expensive class + group call).
+  /// Runs on a worker: Predict, Record and Counterfactuals.
   Response ExecuteRequest(const Request& request, const Deadline& deadline);
-  Response ShedResponse(const Request& request, const Status& shed) const;
   /// Runs on a worker: pops up to max_explain_batch queued Explains (one
   /// when it is 1) and answers them with one ExecuteExplains.
   void DrainExplainQueue();
   /// The one Explain executor, for a drain and a BATCH_EXPLAIN frame
   /// alike: answers already-expired items with kDeadlineExceeded before
-  /// any admission, charges wire admission once for the rest (bounded by
-  /// their earliest deadline), runs them as one
-  /// ServingGroup::ExplainBatch, and maps each result to its wire entry.
-  ExplainAnswers ExecuteExplains(std::vector<serving::BatchQuery> items);
+  /// any work, runs the rest as one ServingGroup::ExplainBatch, and maps
+  /// each result to its positional wire entry.
+  std::vector<Response::BatchExplainItem> ExecuteExplains(
+      std::vector<serving::BatchQuery> items);
   /// Encodes a worker's response and hands it to the loop.
   void Complete(uint64_t conn_id, std::chrono::steady_clock::time_point started,
                 const Response& response);
@@ -272,7 +244,6 @@ class NetServer {
   serving::ServingGroup* group_;
   Options options_;
   std::shared_ptr<obs::Registry> registry_;
-  std::unique_ptr<serving::OverloadController> controller_;
   std::unique_ptr<ThreadPool> workers_;
   std::unique_ptr<obs::ThreadPoolGauges> worker_gauges_;
 
@@ -316,7 +287,6 @@ class NetServer {
   obs::Counter* closed_stalled_ = nullptr;
   obs::Counter* requests_[4] = {};  // indexed by serving::RequestClass
   obs::Counter* responses_ = nullptr;
-  obs::Counter* shed_admission_ = nullptr;
   obs::Counter* shed_overflow_ = nullptr;
   obs::Counter* proto_err_magic_ = nullptr;
   obs::Counter* proto_err_version_ = nullptr;

@@ -411,7 +411,7 @@ Result<OverloadController::Permit> OverloadController::AdmitExpensive(
     const bool pressure = waiters_ > 0 || codel_.shedding() ||
                           in_flight_ >= concurrency_.limit();
     admitted_[static_cast<int>(cls)]->Increment();
-    return Permit(this, clock_(), pressure, sojourn);
+    return Permit(this, clock_(), pressure);
   };
 
   if (in_flight_ < concurrency_.limit() && waiters_ == 0) {
@@ -484,12 +484,6 @@ void OverloadController::Release(Clock::time_point admitted_at) {
   // The limit may have moved in either direction: wake every waiter to
   // re-evaluate rather than guessing how many slots opened.
   slot_free_.notify_all();
-}
-
-bool OverloadController::UnderPressure() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return codel_.shedding() || waiters_ > 0 ||
-         in_flight_ >= concurrency_.limit();
 }
 
 OverloadController::Stats OverloadController::stats() const {

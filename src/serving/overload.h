@@ -344,7 +344,6 @@ class OverloadController {
         controller_ = other.controller_;
         admitted_at_ = other.admitted_at_;
         pressure_ = other.pressure_;
-        queue_wait_ = other.queue_wait_;
         other.controller_ = nullptr;
       }
       return *this;
@@ -358,16 +357,13 @@ class OverloadController {
     /// caller should prefer a cheaper rung of the degradation ladder.
     bool under_pressure() const { return pressure_; }
 
-    std::chrono::nanoseconds queue_wait() const { return queue_wait_; }
-
    private:
     friend class OverloadController;
     Permit(OverloadController* controller, Clock::time_point admitted_at,
-           bool pressure, std::chrono::nanoseconds queue_wait)
+           bool pressure)
         : controller_(controller),
           admitted_at_(admitted_at),
-          pressure_(pressure),
-          queue_wait_(queue_wait) {}
+          pressure_(pressure) {}
 
     void ReleaseNow() {
       if (controller_ != nullptr) controller_->Release(admitted_at_);
@@ -377,7 +373,6 @@ class OverloadController {
     OverloadController* controller_ = nullptr;
     Clock::time_point admitted_at_{};
     bool pressure_ = false;
-    std::chrono::nanoseconds queue_wait_{0};
   };
 
   /// `registry` receives the admission counters, gauges and the queue-wait
@@ -396,10 +391,6 @@ class OverloadController {
   /// then a bounded wait for a concurrency slot. Blocks at most until
   /// `deadline`.
   Result<Permit> AdmitExpensive(RequestClass cls, const Deadline& deadline);
-
-  /// True while the expensive path is saturated (slots full or CoDel
-  /// shedding) — the proxy's cue to prefer cached answers.
-  bool UnderPressure() const;
 
   Stats stats() const;
 

@@ -936,7 +936,8 @@ std::vector<Result<KeyResult>> ExplainableProxy::ExplainItems(
 }
 
 Result<std::vector<RelativeCounterfactual>>
-ExplainableProxy::Counterfactuals(const Instance& x, Label y) const {
+ExplainableProxy::Counterfactuals(const Instance& x, Label y,
+                                  const Deadline& deadline) const {
   obs::RequestTrace trace(traces_.get(), "counterfactuals");
   {
     auto span = trace.Phase("validate");
@@ -949,8 +950,8 @@ ExplainableProxy::Counterfactuals(const Instance& x, Label y) const {
   std::optional<OverloadController::Permit> permit;
   if (overload_ != nullptr) {
     auto span = trace.Phase("admit");
-    auto admitted = overload_->AdmitExpensive(
-        RequestClass::kCounterfactuals, Deadline::Infinite());
+    auto admitted =
+        overload_->AdmitExpensive(RequestClass::kCounterfactuals, deadline);
     span.End();
     if (!admitted.ok()) {
       FinishTrace(trace, Op::kCfs, obs::TraceOutcome::kShed,

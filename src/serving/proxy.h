@@ -58,8 +58,9 @@ namespace cce::serving {
 /// every entry point passes a per-class admission layer — token-bucket
 /// rate limits, a bounded deadline-aware queue with CoDel-style shedding,
 /// and an AIMD concurrency limit on in-flight key searches — so the proxy
-/// survives its own clients, not just a failing backend. Explain's
-/// degradation ladder becomes
+/// survives its own clients, not just a failing backend. In the served
+/// stack the leader's controller is the only admission point, beside the
+/// cache its sheds fall back to. Explain's degradation ladder becomes
 ///
 ///   full key  ->  cached key for an identical recently-explained
 ///                 instance when admitted under pressure or shed; the
@@ -243,9 +244,10 @@ class ExplainableProxy {
   std::vector<Result<KeyResult>> ExplainBatch(
       const std::vector<BatchQuery>& items) const;
 
-  /// Closest counterfactual witnesses from the current context.
+  /// Closest counterfactual witnesses from the current context. A finite
+  /// deadline bounds the admission queue wait.
   Result<std::vector<RelativeCounterfactual>> Counterfactuals(
-      const Instance& x, Label y) const;
+      const Instance& x, Label y, const Deadline& deadline = {}) const;
 
   /// Re-admits quarantined shard `shard` with an empty window and a fresh
   /// on-disk generation. kFailedPrecondition when the shard is healthy;

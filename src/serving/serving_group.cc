@@ -21,6 +21,22 @@ const char* RoutePolicyName(RoutePolicy policy) {
   return "unknown";
 }
 
+namespace {
+
+/// A failure that is the request's answer, not the backend's fault: a
+/// malformed request (kInvalidArgument), an admission shed
+/// (kResourceExhausted) or a spent budget (kDeadlineExceeded). It neither
+/// trips nor heals a breaker and is returned as it is, never failed over:
+/// failing a leader shed over to a replica would route around the one
+/// admission point, since replicas are unmetered.
+bool IsAnswer(const Status& status) {
+  return status.code() == StatusCode::kInvalidArgument ||
+         status.code() == StatusCode::kResourceExhausted ||
+         status.code() == StatusCode::kDeadlineExceeded;
+}
+
+}  // namespace
+
 /// Rendezvous between the caller and its hedge-pool tasks: each task fills
 /// its slot and signals; the caller waits for an acceptable answer or for
 /// every submitted attempt. Heap-allocated and shared so a losing task that
@@ -60,8 +76,12 @@ ServingGroup::ServingGroup(ExplainableProxy* leader,
                            const Options& options)
     : leader_(leader), options_(options), policy_(options.policy) {
   if (options_.latency_window == 0) options_.latency_window = 1;
-  registry_ = options_.registry != nullptr ? options_.registry
-                                           : std::make_shared<obs::Registry>();
+  // One registry for the stack: a /metrics scrape shows the proxy's
+  // admission beside the group's routing.
+  registry_ = options_.registry != nullptr
+                  ? options_.registry
+                  : std::shared_ptr<obs::Registry>(std::shared_ptr<void>(),
+                                                   &leader_->registry());
   if (options_.trace_capacity > 0) {
     traces_ = std::make_unique<obs::TraceRing>(options_.trace_capacity,
                                                registry_->clock());
@@ -213,8 +233,7 @@ void ServingGroup::RecordOutcome(size_t index, const Status& status,
   backend.p95_gauge->Set(P95Locked(backend));
   if (status.ok()) {
     backend.breaker->RecordSuccess();
-  } else if (status.code() != StatusCode::kInvalidArgument) {
-    // Client errors are the caller's fault, not the backend's.
+  } else if (!IsAnswer(status)) {
     backend.breaker->RecordFailure();
   }
 }
@@ -388,17 +407,19 @@ Result<ServingGroup::ExplainResult> ServingGroup::HedgedExplain(
   }
 
   bool primary_done = false;
-  bool primary_acceptable = false;
+  bool serve_primary = false;
   {
     std::lock_guard<std::mutex> lock(state->mu);
     Attempt& attempt = state->attempts[0];
     primary_done = attempt.done;
     if (primary_done && attempt.result.ok()) {
       ApplyFence(&attempt, fence_seq, /*hedged=*/!primary_is_preferred);
-      primary_acceptable = !attempt.result.value().degraded;
+      serve_primary = !attempt.result.value().degraded;
+    } else if (primary_done) {
+      serve_primary = IsAnswer(attempt.result.status());
     }
   }
-  if (primary_done && primary_acceptable) {
+  if (serve_primary) {
     Attempt chosen;
     {
       std::lock_guard<std::mutex> lock(state->mu);
@@ -518,20 +539,18 @@ std::vector<Result<ServingGroup::ExplainResult>> ServingGroup::Dispatch(
     const uint64_t view_seq = std::min(before, BackendSeq(index));
     // The breaker's verdict on the whole dispatch: a success when any item
     // was served, else the first failure that was the backend's fault.
-    // When every item was a client error (kInvalidArgument) the verdict is
-    // that error, which neither trips nor heals the breaker.
+    // When every item failed with an answer (IsAnswer) the verdict is
+    // that answer, which neither trips nor heals the breaker.
     Status verdict = keys.front().status();
     for (const Result<KeyResult>& key : keys) {
       if (key.ok()) {
         verdict = Status::Ok();
         break;
       }
-      if (verdict.code() == StatusCode::kInvalidArgument) {
-        verdict = key.status();
-      }
+      if (IsAnswer(verdict)) verdict = key.status();
     }
     RecordOutcome(index, verdict, micros);
-    if (!verdict.ok() && verdict.code() != StatusCode::kInvalidArgument) {
+    if (!verdict.ok() && !IsAnswer(verdict)) {
       last = verdict;
       if (pos + 1 < order.size()) failovers_->Increment();
       continue;
@@ -571,7 +590,7 @@ Status ServingGroup::Record(const Instance& x, Label y) {
 }
 
 Result<std::vector<RelativeCounterfactual>> ServingGroup::Counterfactuals(
-    const Instance& x, Label y) {
+    const Instance& x, Label y, const Deadline& deadline) {
   const std::vector<size_t> order = RouteOrder();
   if (order.empty()) {
     return Status::Unavailable("serving group: no routable backend");
@@ -580,12 +599,9 @@ Result<std::vector<RelativeCounterfactual>> ServingGroup::Counterfactuals(
   for (size_t pos = 0; pos < order.size(); ++pos) {
     const size_t index = order[pos];
     auto result = index == 0
-                      ? leader_->Counterfactuals(x, y)
+                      ? leader_->Counterfactuals(x, y, deadline)
                       : backends_[index].replica->Counterfactuals(x, y);
-    if (result.ok() ||
-        result.status().code() == StatusCode::kInvalidArgument) {
-      return result;
-    }
+    if (result.ok() || IsAnswer(result.status())) return result;
     last = result.status();
     if (pos + 1 < order.size()) failovers_->Increment();
   }

@@ -107,14 +107,15 @@ class ServingGroup {
     uint64_t freshness_slack_seq = 0;
 
     /// Per-backend circuit breaker configuration (one breaker per
-    /// backend; an Explain failure on a backend counts against it, client
-    /// errors — kInvalidArgument — do not).
+    /// backend; an Explain failure on a backend counts against it, a
+    /// failure that is the request's answer — kInvalidArgument,
+    /// kResourceExhausted, kDeadlineExceeded — does not).
     CircuitBreaker::Options breaker;
     /// Clock for breaker cooldowns; null = steady_clock (tests inject
     /// manual time).
     CircuitBreaker::ClockFn clock;
 
-    /// Metric sink; null means a private registry.
+    /// Metric sink; null aliases the leader's registry.
     std::shared_ptr<obs::Registry> registry;
     /// Group-level trace ring capacity (routing decisions + supervisor
     /// actions); 0 disables tracing.
@@ -203,17 +204,20 @@ class ServingGroup {
   /// answers items[i] — and item failures are individual: per-item
   /// deadlines and degradation flags are honored one by one, and the batch
   /// fails over to the next backend only when the current one served *no*
-  /// item and at least one failure was the backend's fault. A dispatch
-  /// whose every item is a client error (kInvalidArgument) neither trips
-  /// nor heals the backend's breaker. Watermark fencing applies to every
-  /// item.
+  /// item and at least one failure was the backend's fault. A failure that
+  /// is the request's answer — kInvalidArgument, kResourceExhausted (a
+  /// shed, hint intact) or kDeadlineExceeded — is returned as it is: it
+  /// neither trips nor heals the breaker and is never failed over.
+  /// Watermark fencing applies to every item.
   std::vector<Result<ExplainResult>> ExplainBatch(
       const std::vector<BatchQuery>& items);
 
   /// Routed with sequential failover (never hedged — witnesses are
-  /// cheap relative to key searches).
+  /// cheap relative to key searches); failures that are answers (see
+  /// ExplainBatch) are returned as they are. `deadline` bounds the
+  /// leader's admission wait.
   Result<std::vector<RelativeCounterfactual>> Counterfactuals(
-      const Instance& x, Label y);
+      const Instance& x, Label y, const Deadline& deadline = {});
 
   /// Re-reads every backend's Health()/GetHealth() into the routing
   /// probes (including the leader's PublishedSequence). Called by the

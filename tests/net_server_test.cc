@@ -1,9 +1,9 @@
 // End-to-end tests of the network serving front end over real loopback
 // sockets: typed roundtrips for all four request classes, per-tick
-// pipelined batching, wire-level shedding (admission and queue overflow)
-// with RetryAfter hints, the HTTP /metrics surface, protocol-error
-// handling, deadlines, and drain-on-stop. The adversarial byte-level
-// attacks live in net_torture_test.cc.
+// pipelined batching, the proxy's admission sheds and cached rung as wire
+// answers, queue-overflow sheds with RetryAfter hints, the HTTP /metrics
+// surface, protocol-error handling, deadlines, and drain-on-stop. The
+// adversarial byte-level attacks live in net_torture_test.cc.
 
 #include "net/server.h"
 
@@ -73,7 +73,8 @@ class GatedEndpoint : public serving::ModelEndpoint {
 
 /// A leader-only serving group with a primed context behind a NetServer
 /// on an ephemeral loopback port. Predicts go to `endpoint` when one is
-/// given, else to the parity model.
+/// given, else to the parity model. The group shares the proxy's registry
+/// when `proxy_options` names one (null: the group's default).
 struct NetStack {
   Dataset data;
   ParityModel model;
@@ -81,10 +82,11 @@ struct NetStack {
   std::unique_ptr<ServingGroup> group;
   std::unique_ptr<NetServer> server;
 
-  explicit NetStack(NetServer::Options options = {}, size_t rows = 120,
+  explicit NetStack(NetServer::Options options = {},
+                    ExplainableProxy::Options proxy_options = {},
+                    size_t rows = 120,
                     serving::ModelEndpoint* endpoint = nullptr)
       : data(cce::testing::RandomContext(200, 4, 3, 11, /*noise=*/0.0)) {
-    ExplainableProxy::Options proxy_options;
     proxy_options.monitor_drift = false;
     auto proxy_or =
         endpoint != nullptr
@@ -100,6 +102,7 @@ struct NetStack {
     }
     ServingGroup::Options group_options;
     group_options.policy = serving::RoutePolicy::kLeaderOnly;
+    group_options.registry = proxy_options.observability.registry;
     auto group_or = ServingGroup::Create(proxy.get(), {}, group_options);
     CCE_CHECK_OK(group_or.status());
     group = std::move(group_or).value();
@@ -208,13 +211,33 @@ TEST(NetServerTest, PipelinedBatchAnswersEveryRequest) {
   EXPECT_GE(stats.responses, kBatch);
 }
 
+/// Proxy admission with one explain token, then a ~17-minute refill:
+/// every Explain after the first is shed by the token bucket with a
+/// retry-after hint, unless the explain cache holds a fresh key for it.
+ExplainableProxy::Options OneExplainToken() {
+  ExplainableProxy::Options proxy_options;
+  proxy_options.overload.enabled = true;
+  proxy_options.overload.explain_bucket.refill_per_sec = 0.001;
+  proxy_options.overload.explain_bucket.burst = 1.0;
+  return proxy_options;
+}
+
+uint64_t CounterTotal(const obs::Registry& registry, const std::string& name,
+                      const obs::Labels& labels = {}) {
+  uint64_t total = 0;
+  for (const auto& family : registry.Collect()) {
+    if (family.name != name) continue;
+    for (const auto& sample : family.samples) {
+      if (labels.empty() || sample.labels == labels) {
+        total += static_cast<uint64_t>(sample.value);
+      }
+    }
+  }
+  return total;
+}
+
 TEST(NetServerTest, AdmissionShedBecomesTypedWireResponse) {
-  NetServer::Options options;
-  // One explain token, then a ~17-minute refill: the second explain must
-  // be shed by the token bucket with a retry-after hint.
-  options.overload.explain_bucket.refill_per_sec = 0.001;
-  options.overload.explain_bucket.burst = 1.0;
-  NetStack stack(options);
+  NetStack stack({}, OneExplainToken());
   NetClient client = stack.Connect();
 
   auto first = client.Call(
@@ -235,17 +258,105 @@ TEST(NetServerTest, AdmissionShedBecomesTypedWireResponse) {
   ASSERT_TRUE(after.ok()) << after.status().ToString();
   EXPECT_EQ(after->status, WireStatus::kOk);
 
-  EXPECT_GE(stack.server->GetStats().sheds, 1u);
+  EXPECT_EQ(CounterTotal(stack.proxy->registry(), "cce_shed_total",
+                         {{"cause", "rate_limited"}}),
+            1u);
+}
+
+TEST(NetServerTest, ProxyShedsFallBackToTheCachedRungOverTheWire) {
+  NetStack stack({}, OneExplainToken());
+  NetClient client = stack.Connect();
+  auto first = client.Call(
+      stack.MakeRequest(MessageType::kExplainRequest, 1, /*row=*/0));
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_EQ(first->status, WireStatus::kOk);
+  EXPECT_EQ(first->flags & kFlagCached, 0);
+
+  // Uncached instances are shed with the proxy's hint, call after call:
+  // a shed is an answer, so it never opens the leader's breaker.
+  for (uint64_t i = 0; i < 6; ++i) {
+    auto shed = client.Call(
+        stack.MakeRequest(MessageType::kExplainRequest, 10 + i, 1 + i));
+    ASSERT_TRUE(shed.ok()) << shed.status().ToString();
+    EXPECT_EQ(shed->status, WireStatus::kResourceExhausted)
+        << i << ": " << shed->message;
+    EXPECT_GT(shed->retry_after_ms, 0u) << i;
+  }
+  // A shed with a fresh cached key is the cached rung: the same key.
+  auto cached = client.Call(
+      stack.MakeRequest(MessageType::kExplainRequest, 20, /*row=*/0));
+  ASSERT_TRUE(cached.ok()) << cached.status().ToString();
+  ASSERT_EQ(cached->status, WireStatus::kOk) << cached->message;
+  EXPECT_NE(cached->flags & kFlagCached, 0);
+  EXPECT_EQ(cached->key, first->key);
+
+  // In a frame, each shed item falls back to the cache on its own.
+  Request frame;
+  frame.type = MessageType::kBatchExplainRequest;
+  frame.request_id = 30;
+  for (size_t row : {size_t{0}, size_t{7}}) {
+    Request::BatchItem item;
+    item.instance = stack.data.instance(row);
+    item.label = stack.model.Predict(item.instance);
+    frame.batch.push_back(std::move(item));
+  }
+  auto answered = client.Call(frame);
+  ASSERT_TRUE(answered.ok()) << answered.status().ToString();
+  EXPECT_EQ(answered->status, WireStatus::kOk);
+  ASSERT_EQ(answered->batch.size(), 2u);
+  EXPECT_EQ(answered->batch[0].status, WireStatus::kOk);
+  EXPECT_NE(answered->batch[0].flags & kFlagCached, 0);
+  EXPECT_EQ(answered->batch[0].key, first->key);
+  EXPECT_EQ(answered->batch[1].status, WireStatus::kResourceExhausted);
+  EXPECT_GT(answered->batch[1].retry_after_ms, 0u);
+  EXPECT_EQ(stack.server->GetStats().sheds, 0u) << "no queue_overflow";
+}
+
+TEST(NetServerTest, OneWireExplainIsAdmittedOnce) {
+  // The documented one-/metrics wiring: proxy, group and server share one
+  // registry, where every admission must be counted exactly once.
+  auto registry = std::make_shared<obs::Registry>();
+  NetServer::Options options;
+  options.registry = registry;
+  ExplainableProxy::Options proxy_options;
+  proxy_options.overload.enabled = true;
+  proxy_options.observability.registry = registry;
+  NetStack stack(options, proxy_options);
+  NetClient client = stack.Connect();
+  const obs::Labels explain = {{"class", "explain"}};
+  const uint64_t admitted_before =
+      CounterTotal(*registry, "cce_admitted_total", explain);
+  const uint64_t health_before = stack.proxy->Health().admitted_explains;
+  auto response = client.Call(
+      stack.MakeRequest(MessageType::kExplainRequest, 1, /*row=*/0));
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  ASSERT_EQ(response->status, WireStatus::kOk);
+  EXPECT_EQ(CounterTotal(*registry, "cce_admitted_total", explain),
+            admitted_before + 1);
+  EXPECT_EQ(stack.proxy->Health().admitted_explains, health_before + 1);
+}
+
+TEST(NetServerTest, DefaultWiredMetricsShowTheProxyAdmission) {
+  // No registry passed anywhere: the group aliases the proxy's and the
+  // server the group's, so the wire scrape covers the admission point.
+  ExplainableProxy::Options proxy_options;
+  proxy_options.overload.enabled = true;
+  NetStack stack({}, proxy_options);
+  NetClient client = stack.Connect();
+  auto body = client.HttpGet("/metrics");
+  ASSERT_TRUE(body.ok()) << body.status().ToString();
+  EXPECT_NE(body->find("cce_explains_total"), std::string::npos);
+  EXPECT_NE(body->find("cce_shed_total"), std::string::npos);
+  EXPECT_NE(body->find("cce_net_requests_total"), std::string::npos);
 }
 
 TEST(NetServerTest, QueueOverflowShedsCarryRetryAfterHint) {
   NetServer::Options options;
-  options.overload.enabled = false;  // isolate the loop-to-worker bound
   options.worker_threads = 1;
   options.max_pending = 1;
   options.overflow_retry_after = std::chrono::milliseconds(7);
   GatedEndpoint gate;
-  NetStack stack(options, /*rows=*/120, &gate);
+  NetStack stack(options, {}, /*rows=*/120, &gate);
   NetClient client = stack.Connect();
 
   // The only pending slot goes to a Predict held at the gate, so every
@@ -282,43 +393,32 @@ TEST(NetServerTest, QueueOverflowShedsCarryRetryAfterHint) {
   EXPECT_EQ(stack.server->GetStats().sheds, kBatch);
 }
 
-uint64_t CounterTotal(const obs::Registry& registry, const std::string& name,
-                      const obs::Labels& labels = {}) {
-  uint64_t total = 0;
-  for (const auto& family : registry.Collect()) {
-    if (family.name != name) continue;
-    for (const auto& sample : family.samples) {
-      if (labels.empty() || sample.labels == labels) {
-        total += static_cast<uint64_t>(sample.value);
-      }
-    }
-  }
-  return total;
-}
-
 /// The deadline flood at one micro-batch size: 48 Explains with a 1 ms
 /// budget, plus a BATCH_EXPLAIN frame of 1 ms items, queue behind a Predict
 /// held at the gate. Every item has expired by the time a worker takes it,
-/// so each must come back kDeadlineExceeded — answered before wire
-/// admission, which neither admits nor sheds anything — even though the
-/// controller already has a latency estimate that would shed an expired
-/// batch as unmeetable.
+/// so each must come back kDeadlineExceeded — answered at the wire before
+/// the proxy's admission, which neither admits nor sheds anything — even
+/// though that controller already has a latency estimate that would shed
+/// an expired batch as unmeetable.
 void RunDeadlineFlood(size_t max_explain_batch) {
   NetServer::Options options;
   options.worker_threads = 1;
   options.max_explain_batch = max_explain_batch;
+  ExplainableProxy::Options proxy_options;
+  proxy_options.overload.enabled = true;
   GatedEndpoint gate;
-  NetStack stack(options, /*rows=*/120, &gate);
+  NetStack stack(options, proxy_options, /*rows=*/120, &gate);
   NetClient client = stack.Connect();
-  // Warm-up: one completed Explain gives the wire controller a latency
+  // Warm-up: one completed Explain gives the proxy's controller a latency
   // estimate.
   auto warm = client.Call(
       stack.MakeRequest(MessageType::kExplainRequest, 2000, /*row=*/0));
   ASSERT_TRUE(warm.ok()) << warm.status().ToString();
   ASSERT_EQ(warm->status, WireStatus::kOk);
-  const obs::Registry& registry = stack.server->registry();
+  const obs::Registry& registry = stack.proxy->registry();
   const uint64_t admitted_before =
       CounterTotal(registry, "cce_admitted_total", {{"class", "explain"}});
+  ASSERT_EQ(admitted_before, 1u) << "the warm-up passed proxy admission";
   const uint64_t shed_before = CounterTotal(registry, "cce_shed_total");
 
   // Occupy the only worker with a Predict held at the gate: the flood

@@ -79,6 +79,9 @@ struct TortureStack {
       : data(cce::testing::RandomContext(150, 4, 3, 17, /*noise=*/0.0)) {
     ExplainableProxy::Options proxy_options;
     proxy_options.monitor_drift = false;
+    // The stack's one admission point, armed with unlimited buckets so
+    // every attack also passes admission and its metrics.
+    proxy_options.overload.enabled = true;
     auto proxy_or =
         ExplainableProxy::Create(data.schema_ptr(), &model, proxy_options);
     CCE_CHECK_OK(proxy_or.status());

@@ -351,7 +351,6 @@ TEST(OverloadControllerTest, QueueFullSheds) {
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(controller.stats().shed_queue_full, 1u);
-  EXPECT_TRUE(controller.UnderPressure());
 }
 
 TEST(OverloadControllerTest, ExpiredDeadlineInQueueIsDeadlineExceeded) {

@@ -1,5 +1,6 @@
 #include "serving/serving_group.h"
 
+#include <atomic>
 #include <chrono>
 #include <memory>
 #include <string>
@@ -9,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "common/logging.h"
+#include "serving/overload.h"
 #include "serving/proxy.h"
 #include "serving/replica_proxy.h"
 #include "serving/replication.h"
@@ -18,7 +20,8 @@ namespace cce::serving {
 namespace {
 
 /// A durable leader with `rows` recorded, one clean ship cycle, and one
-/// caught-up replica — the minimal two-backend group substrate.
+/// caught-up replica — the minimal two-backend group substrate. `options`
+/// configures the leader beyond its shards and durability.
 struct GroupStack {
   cce::testing::ScopedTestDir tmp;  // declared first: outlives every file user
   Dataset data;
@@ -28,11 +31,10 @@ struct GroupStack {
   std::unique_ptr<ShardLogShipper> shipper;
   std::unique_ptr<ReplicaProxy> replica;
 
-  explicit GroupStack(size_t rows = 64)
+  explicit GroupStack(size_t rows = 64, ExplainableProxy::Options options = {})
       : data(cce::testing::RandomContext(200, 4, 3, 11, /*noise=*/0.1)),
         leader_dir(tmp.File("leader")),
         ship_dir(tmp.File("ship")) {
-    ExplainableProxy::Options options;
     options.monitor_drift = false;
     options.shards = 4;
     options.durability.dir = leader_dir;
@@ -259,6 +261,73 @@ TEST(ServingGroupTest, InvalidArgumentDoesNotTripTheBreaker) {
   EXPECT_EQ(health.backends[0].breaker, CircuitBreaker::State::kClosed);
   auto good = group->Explain(stack.data.instance(0), stack.data.label(0));
   EXPECT_TRUE(good.ok()) << good.status().ToString();
+}
+
+/// A group over a leader whose admission holds one explain token and
+/// then refills for ~17 minutes, with no cache to fall back to: every
+/// Explain after the first is shed. The leader is one record ahead of the
+/// replica, so it always routes first; `dispatches[b]` counts backend b's
+/// calls.
+struct ShedStack {
+  GroupStack stack;
+  std::atomic<int> dispatches[2] = {0, 0};
+  std::unique_ptr<ServingGroup> group;  // last: its hedge pool dies first
+
+  static ExplainableProxy::Options OneExplainToken() {
+    ExplainableProxy::Options options;
+    options.overload.enabled = true;
+    options.overload.explain_bucket.refill_per_sec = 0.001;
+    options.overload.explain_bucket.burst = 1.0;
+    options.explain_cache.capacity = 0;
+    return options;
+  }
+
+  explicit ShedStack(ServingGroup::Options options)
+      : stack(/*rows=*/64, OneExplainToken()) {
+    CCE_CHECK_OK(stack.leader->Record(stack.data.instance(100),
+                                      stack.data.label(100)));
+    options.breaker.failure_threshold = 2;
+    options.explain_interceptor = [this](size_t backend) {
+      ++dispatches[backend];
+    };
+    group = stack.MakeGroup(options);
+  }
+
+  /// One admitted Explain, then six that the leader must shed: each comes
+  /// back as the leader's shed, hint intact, from the leader alone.
+  void ExpectShedsAreAnswers() {
+    auto admitted = group->Explain(stack.data.instance(0), stack.data.label(0));
+    ASSERT_TRUE(admitted.ok()) << admitted.status().ToString();
+    EXPECT_EQ(admitted->backend, 0u);
+    for (int i = 0; i < 6; ++i) {
+      auto shed = group->Explain(stack.data.instance(0), stack.data.label(0));
+      ASSERT_EQ(shed.status().code(), StatusCode::kResourceExhausted)
+          << i << ": " << shed.status().ToString();
+      EXPECT_GT(ParseRetryAfterMs(shed.status()), 0) << i;
+    }
+    EXPECT_EQ(group->Health().backends[0].breaker,
+              CircuitBreaker::State::kClosed);
+    EXPECT_EQ(dispatches[0], 7);
+    EXPECT_EQ(dispatches[1], 0) << "a shed is never failed over";
+  }
+};
+
+TEST(ServingGroupTest, LeaderShedsNeitherTripTheBreakerNorFailOver) {
+  ServingGroup::Options options;
+  options.hedge = false;
+  ShedStack shed(options);
+  shed.ExpectShedsAreAnswers();
+}
+
+TEST(ServingGroupTest, LeaderShedIsNotFailedOverByTheHedgeRace) {
+  // A head start far longer than any shed: the primary has always
+  // answered when the race decides whether to fail over.
+  ServingGroup::Options options;
+  options.hedge_min_delay = std::chrono::milliseconds(60000);
+  options.hedge_max_delay = std::chrono::milliseconds(60000);
+  ShedStack shed(options);
+  shed.ExpectShedsAreAnswers();
+  EXPECT_EQ(shed.group->Health().hedges, 0u);
 }
 
 TEST(ServingGroupTest, BreakerOpensOnPersistentBackendFailure) {
