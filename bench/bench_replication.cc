@@ -1,9 +1,11 @@
 // Google-benchmark coverage for WAL-shipping replication: follower
-// bootstrap catch-up throughput as a function of shipped log length,
-// steady-state incremental tailing (ship + catch-up per write batch), and
-// follower Explain latency against the leader's — the read path is shared
-// (serving/read_path.h), so any replica-side overhead is view assembly,
-// not search.
+// bootstrap catch-up throughput as a function of shipped log length
+// (apply + digest verification + feeding the served view), steady-state
+// incremental tailing (ship + catch-up per write batch), and follower
+// Explain latency against the leader's. Both answer through an
+// ExplainableProxy's shard-index read path — the replica's is its fed,
+// one-shard view — so neither rebuilds anything per request.
+// scripts/bench_replica.sh records BENCH_replication.json from this.
 
 #include <benchmark/benchmark.h>
 
@@ -53,8 +55,8 @@ std::unique_ptr<ExplainableProxy> MakeLeader(const Dataset& data,
 }
 
 /// Bootstrap catch-up: a fresh follower applies a shipped directory of
-/// Arg records (snapshot-free, pure WAL replay + digest verification).
-/// items/s = records applied per second.
+/// Arg records (snapshot-free: WAL replay + digest verification) and
+/// feeds them into its served view. items/s = records applied per second.
 void BM_ReplicaCatchUp_Bootstrap(benchmark::State& state) {
   const size_t records = static_cast<size_t>(state.range(0));
   const std::string tag = "boot." + std::to_string(records);
@@ -133,9 +135,10 @@ void BM_ReplicaCatchUp_Incremental(benchmark::State& state) {
 }
 BENCHMARK(BM_ReplicaCatchUp_Incremental)->Arg(64)->Arg(512);
 
-/// Explain latency over the same 2048-row view: Arg 0 = leader, 1 =
-/// caught-up follower. Identical keys by construction; the delta is the
-/// cost of the replica's view assembly vs the leader's shard merge.
+/// Explain latency over the same 2048-row view: Arg 0 = leader (4 shard
+/// indexes), 1 = caught-up follower (its one-shard view). Identical keys
+/// by construction; the delta is the replica's view lookup and the
+/// leader's per-shard slice merge.
 void BM_Explain_LeaderVsReplica(benchmark::State& state) {
   static std::unique_ptr<Dataset> data;
   static std::unique_ptr<ExplainableProxy> leader;

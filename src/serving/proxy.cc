@@ -7,7 +7,6 @@
 
 #include "core/srk.h"
 #include "io/atomic_file.h"
-#include "serving/read_path.h"
 #include "serving/shard_layout.h"
 
 namespace cce::serving {
@@ -599,7 +598,9 @@ std::vector<ContextShard::Row> ExplainableProxy::MergedRows() const {
 }
 
 Context ExplainableProxy::MergedContext() const {
-  return MaterializeContext(schema_, MergedRows());
+  Context context(schema_);
+  for (const ContextShard::Row& row : MergedRows()) context.Add(row.x, row.y);
+  return context;
 }
 
 uint64_t ExplainableProxy::PublishedSequence() const {
@@ -979,7 +980,7 @@ ExplainableProxy::Counterfactuals(const Instance& x, Label y,
   }
   auto result = [&] {
     auto span = trace.Phase("search");
-    return SearchCounterfactuals(context, x, y);
+    return CounterfactualFinder::FindForInstance(context, x, y, {});
   }();
   if (result.ok()) {
     FinishTrace(trace, Op::kCfs, obs::TraceOutcome::kServedFull);

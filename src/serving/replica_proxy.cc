@@ -4,24 +4,40 @@
 #include <utility>
 
 #include "common/crc32c.h"
+#include "common/logging.h"
 #include "io/shard_snapshot.h"
 #include "io/wal_segment.h"
 #include "serving/shard_layout.h"
 
 namespace cce::serving {
+namespace {
+
+/// Decorrelated-jitter backoff the background loop adds on top of
+/// poll_interval after a *failed* manifest load, so a corrupt ship
+/// directory does not burn a core: 50 ms rising to 5 s, never giving up.
+/// A leader that has not shipped yet (quiet NotFound) never backs off.
+constexpr RetryPolicy::Options kManifestBackoff{
+    .max_attempts = 1 << 20,
+    .initial_backoff = std::chrono::milliseconds(50),
+    .max_backoff = std::chrono::milliseconds(5000)};
+/// Seed for its jitter (deterministic schedules).
+constexpr uint64_t kManifestBackoffSeed = 42;
+
+}  // namespace
 
 ReplicaProxy::ReplicaProxy(std::shared_ptr<const Schema> schema,
                            const Options& options)
     : schema_(std::move(schema)),
       options_(options),
       env_(options.env != nullptr ? options.env : io::Env::Default()),
-      manifest_backoff_(options.manifest_retry),
-      backoff_rng_(options.backoff_seed) {
+      manifest_backoff_(kManifestBackoff),
+      backoff_rng_(kManifestBackoffSeed) {
   registry_ = options_.registry;
   if (registry_ == nullptr) {
     registry_ = std::make_shared<obs::Registry>(obs::Registry::Options{});
   }
   InitInstruments();
+  AdvanceView(&tails_, 0, &view_);  // the empty view
 }
 
 ReplicaProxy::~ReplicaProxy() { Stop(); }
@@ -88,11 +104,13 @@ void ReplicaProxy::InitInstruments() {
       "flight); resolved by the next catch-up.");
   scrubs_ = reg.GetCounter("cce_replica_scrubs_total",
                            "Divergence scrub passes over applied state.");
-  explains_ = reg.GetCounter("cce_replica_explains_total",
-                             "Explain() calls served by the replica.");
+  explains_ = reg.GetCounter(
+      "cce_replica_explains_total",
+      "Explain items served by the replica (a batch counts each item).");
   explain_latency_us_ = reg.GetHistogram(
       "cce_replica_explain_latency_us",
-      "End-to-end replica Explain() latency in microseconds.");
+      "End-to-end replica Explain()/ExplainBatch() latency in "
+      "microseconds, one sample per call.");
 }
 
 obs::Gauge* ReplicaProxy::TailGauge(size_t shard) const {
@@ -194,6 +212,7 @@ void ReplicaProxy::ApplyShard(const io::ShipManifest::Shard& entry,
     }
     tail->base = entry.wal_base;
     tail->bootstrapped = true;
+    tail->fed = kReseed;
   };
 
   uint64_t applied_before = tail->rows.size();
@@ -243,16 +262,56 @@ void ReplicaProxy::ApplyShard(const io::ShipManifest::Shard& entry,
   tail->cause.clear();
 }
 
-void ReplicaProxy::PublishViewLocked() {
-  uint64_t view = 0;
-  bool first = true;
-  for (size_t i = 0; i < tails_.size(); ++i) {
-    const ShardTail& tail = tails_[i];
-    if (first || tail.applied_through < view) view = tail.applied_through;
-    first = false;
-    TailGauge(i)->Set(tail.quarantined ? 1 : 0);
+uint64_t ReplicaProxy::AdvanceView(
+    std::vector<ShardTail>* tails, uint64_t fed_through,
+    std::shared_ptr<ExplainableProxy>* view) const {
+  uint64_t published = tails->empty() ? 0 : UINT64_MAX;
+  bool reseed = *view == nullptr;
+  for (const ShardTail& tail : *tails) {
+    published = std::min(published, tail.applied_through);
+    if (tail.fed == kReseed) reseed = true;
   }
-  view_published_ = tails_.empty() ? 0 : view;
+  if (reseed || published < fed_through) {
+    // One shard: keys do not depend on the shard count. A private
+    // registry keeps view traffic out of the leader's request metrics.
+    ExplainableProxy::Options options;
+    options.context_capacity = options_.context_capacity;
+    options.alpha = options_.alpha;
+    options.monitor_drift = false;
+    options.observability.trace_capacity = 0;
+    auto fresh = ExplainableProxy::Create(schema_, nullptr, options);
+    CCE_CHECK_OK(fresh.status());  // Create already validated alpha
+    *view = std::move(fresh).value();
+    for (ShardTail& tail : *tails) tail.fed = 0;
+  }
+  // Every row fed before has seq below the previous watermark and each
+  // tail is seq-ascending, so appending the crossing rows in sequence
+  // order keeps the view in global arrival order; its capacity eviction
+  // then keeps exactly the leader's window (the globally newest rows).
+  std::vector<const ContextShard::Row*> crossing;
+  for (ShardTail& tail : *tails) {
+    for (; tail.fed < tail.rows.size() && tail.rows[tail.fed].seq < published;
+         ++tail.fed) {
+      crossing.push_back(&tail.rows[tail.fed]);
+    }
+  }
+  std::sort(crossing.begin(), crossing.end(),
+            [](const ContextShard::Row* a, const ContextShard::Row* b) {
+              return a->seq < b->seq;
+            });
+  // A schema-invalid shipped row is refused, as the leader's shard
+  // recovery drops one.
+  for (const ContextShard::Row* row : crossing) {
+    (void)(*view)->Record(row->x, row->y);
+  }
+  return published;
+}
+
+void ReplicaProxy::PublishViewLocked() {
+  for (size_t i = 0; i < tails_.size(); ++i) {
+    TailGauge(i)->Set(tails_[i].quarantined ? 1 : 0);
+  }
+  view_published_ = AdvanceView(&tails_, view_published_, &view_);
   published_gauge_->Set(static_cast<int64_t>(view_published_));
   const uint64_t lag = latest_published_ > view_published_
                            ? latest_published_ - view_published_
@@ -420,25 +479,29 @@ Status ReplicaProxy::ForceResync() {
     std::lock_guard<std::mutex> state_lock(mu_);
     if (!tails_.empty() && resyncs_ != nullptr) resyncs_->Increment();
     tails_.clear();
-    view_published_ = 0;
     manifest_ok_ = false;
     PublishViewLocked();
     return Status::Ok();
   }
   ResetManifestBackoff();
 
-  // Rebuild replacement tails from the shipped files *outside* mu_, then
-  // swap atomically: concurrent Explains keep serving the old view for
-  // the whole rebuild and never see a transient empty window — which is
-  // what makes ForceResync on an in-sync replica a safe no-op.
+  // Rebuild replacement tails and their view from the shipped files
+  // *outside* mu_, then swap atomically: concurrent Explains keep serving
+  // the old view for the whole rebuild and never see a transient empty
+  // window — which is what makes ForceResync on an in-sync replica a safe
+  // no-op.
   std::vector<ShardTail> fresh(manifest.shards.size());
   for (size_t i = 0; i < manifest.shards.size(); ++i) {
     ApplyShard(manifest.shards[i], files[i].snapshot, files[i].snapshot_ok,
                files[i].wal, files[i].wal_ok, &fresh[i]);
   }
+  std::shared_ptr<ExplainableProxy> view;
+  const uint64_t published = AdvanceView(&fresh, 0, &view);
   std::lock_guard<std::mutex> state_lock(mu_);
   if (!tails_.empty() && resyncs_ != nullptr) resyncs_->Increment();
   tails_ = std::move(fresh);
+  view_ = std::move(view);
+  view_published_ = published;
   latest_published_ = manifest.published_seq;
   manifest_ok_ = true;
   PublishViewLocked();
@@ -485,80 +548,48 @@ void ReplicaProxy::Stop() {
   started_ = false;
 }
 
-std::vector<ContextShard::Row> ReplicaProxy::ViewRows(
+std::shared_ptr<const ExplainableProxy> ReplicaProxy::View(
     bool* degraded) const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<ContextShard::Row> rows;
-  for (const ShardTail& tail : tails_) {
-    for (const ContextShard::Row& row : tail.rows) {
-      if (row.seq >= view_published_) break;  // seq-ascending per tail
-      rows.push_back(row);
-    }
-  }
-  std::sort(rows.begin(), rows.end(),
-            [](const ContextShard::Row& a, const ContextShard::Row& b) {
-              return a.seq < b.seq;
-            });
-  // The leader evicts globally-oldest-first down to its capacity, and the
-  // shipped files may retain already-evicted rows (they leave the WAL
-  // only at compaction). Keeping the newest `capacity` rows by sequence
-  // reproduces the leader's window exactly.
-  if (options_.context_capacity > 0 &&
-      rows.size() > options_.context_capacity) {
-    rows.erase(rows.begin(),
-               rows.begin() + static_cast<std::vector<
-                   ContextShard::Row>::difference_type>(
-                   rows.size() - options_.context_capacity));
-  }
   if (degraded != nullptr) {
     *degraded = !manifest_ok_;
     for (const ShardTail& tail : tails_) {
       if (tail.quarantined) *degraded = true;
     }
   }
-  return rows;
+  return view_;
 }
 
 Result<KeyResult> ReplicaProxy::Explain(const Instance& x, Label y,
                                         const Deadline& deadline) const {
+  return std::move(ExplainBatch({BatchQuery{x, y, deadline}}).front());
+}
+
+std::vector<Result<KeyResult>> ReplicaProxy::ExplainBatch(
+    const std::vector<BatchQuery>& items) const {
+  if (items.empty()) return {};
   obs::ScopedLatency latency(registry_.get(), explain_latency_us_);
-  explains_->Increment();
-  CCE_RETURN_IF_ERROR(schema_->ValidateInstance(x));
-  CCE_RETURN_IF_ERROR(schema_->ValidateLabel(y));
+  explains_->Add(items.size());
   bool degraded = false;
-  const std::vector<ContextShard::Row> rows = ViewRows(&degraded);
-  if (rows.empty()) {
-    return Status::FailedPrecondition(
-        "replica view is empty (leader has not shipped, or the view "
-        "watermark is 0)");
-  }
-  const Context context = MaterializeContext(schema_, rows);
-  Result<KeyResult> key =
-      SearchKey(context, x, y, deadline, ReadPath{options_.alpha});
-  if (key.ok() && degraded) {
+  std::vector<Result<KeyResult>> keys = View(&degraded)->ExplainBatch(items);
+  if (degraded) {
     // A quarantined tail or failing manifest means the view may be
-    // stale; the key is still exactly right for published_seq(), and
+    // stale; each key is still exactly right for published_seq(), and
     // honest about the replication path being degraded.
-    key->degraded = true;
+    for (Result<KeyResult>& key : keys) {
+      if (key.ok()) key->degraded = true;
+    }
   }
-  return key;
+  return keys;
 }
 
 Result<std::vector<RelativeCounterfactual>> ReplicaProxy::Counterfactuals(
     const Instance& x, Label y) const {
-  CCE_RETURN_IF_ERROR(schema_->ValidateInstance(x));
-  CCE_RETURN_IF_ERROR(schema_->ValidateLabel(y));
-  bool degraded = false;
-  const std::vector<ContextShard::Row> rows = ViewRows(&degraded);
-  if (rows.empty()) {
-    return Status::FailedPrecondition("replica view is empty");
-  }
-  const Context context = MaterializeContext(schema_, rows);
-  return SearchCounterfactuals(context, x, y);
+  return View(nullptr)->Counterfactuals(x, y);
 }
 
 Context ReplicaProxy::ContextSnapshot() const {
-  return MaterializeContext(schema_, ViewRows(nullptr));
+  return View(nullptr)->ContextSnapshot();
 }
 
 uint64_t ReplicaProxy::published_seq() const {
@@ -576,7 +607,9 @@ ReplicaProxy::Health ReplicaProxy::GetHealth() const {
                        : 0;
   health.manifest_ok = manifest_ok_;
   health.degraded = !manifest_ok_;
-  uint64_t rows_in_view = 0;
+  for (const HealthSnapshot::ShardHealth& shard : view_->Health().shards) {
+    health.rows_in_view += shard.window_rows;
+  }
   for (size_t i = 0; i < tails_.size(); ++i) {
     const ShardTail& tail = tails_[i];
     Health::Tail out;
@@ -588,12 +621,8 @@ ReplicaProxy::Health ReplicaProxy::GetHealth() const {
     out.applied_through = tail.applied_through;
     out.base = tail.base;
     if (tail.quarantined) health.degraded = true;
-    for (const ContextShard::Row& row : tail.rows) {
-      if (row.seq < view_published_) ++rows_in_view;
-    }
     health.tails.push_back(std::move(out));
   }
-  health.rows_in_view = rows_in_view;
   health.catchups = catchups_ != nullptr ? catchups_->Value() : 0;
   health.divergences = divergences_ != nullptr ? divergences_->Value() : 0;
   health.resyncs = resyncs_ != nullptr ? resyncs_->Value() : 0;

@@ -22,6 +22,7 @@
 #include "io/ship_manifest.h"
 #include "obs/metrics.h"
 #include "serving/context_shard.h"
+#include "serving/proxy.h"
 #include "serving/read_path.h"
 #include "serving/resilience.h"
 
@@ -31,12 +32,14 @@ namespace cce::serving {
 /// bootstraps from a ShardLogShipper's ship directory and serves
 /// Explain/Counterfactuals from a generation-consistent view of the
 /// leader's recorded context — with keys *bit-identical* to the leader's
-/// at the same published sequence, because both sides merge rows by the
-/// same global sequence order and apply the same capacity window. The
-/// replica then searches its materialized view with Srk's sorted-merge
-/// loop and the leader searches its shard indexes with the bitset greedy;
-/// both compare only exact integer counts and break ties on the same
-/// 2048-row prefix, so they pick the same features.
+/// at the same published sequence.
+///
+/// The served view is a record-only, in-memory ExplainableProxy fed the
+/// shipped pairs: each view publish records only the rows that crossed the
+/// watermark, in global sequence order, and the view's own capacity
+/// eviction keeps the leader's window. Leader and replica therefore answer
+/// from the same shard index through the same ExplainBatch, and no read
+/// rebuilds anything.
 ///
 /// Consistency model. Each manifest shard record carries a per-shard
 /// watermark p (complete up to p); the replica's served view is the
@@ -55,8 +58,13 @@ namespace cce::serving {
 /// directory is the source of truth).
 ///
 /// Thread safety: all public methods may be called concurrently. CatchUp,
-/// Scrub and ForceResync serialise on an internal catch-up mutex; Explain
-/// copies the view under a short lock and searches outside it.
+/// Scrub and ForceResync serialise on an internal catch-up mutex and feed
+/// the view under a short lock; reads copy the view pointer under that
+/// lock and search outside it. A read that overlaps a feed may therefore
+/// see rows at or above the published_seq() sampled before it (never a
+/// torn row: rows enter the view whole, in sequence order) —
+/// published_seq() is a lower bound, as the leader's PublishedSequence()
+/// is for its concurrent reads.
 class ReplicaProxy {
  public:
   struct Options {
@@ -77,20 +85,6 @@ class ReplicaProxy {
     /// Run the divergence scrubber every N background catch-ups; 0
     /// disables background scrubbing (Scrub() can still be called).
     size_t scrub_every = 8;
-    /// Decorrelated-jitter backoff the background loop adds on top of
-    /// poll_interval after a *failed* manifest load, so a corrupt ship
-    /// directory does not burn a core retrying at full cadence. A leader
-    /// that simply has not shipped yet (quiet NotFound) never backs off.
-    /// max_attempts is ignored — the loop never gives up.
-    RetryPolicy::Options manifest_retry = [] {
-      RetryPolicy::Options retry;
-      retry.max_attempts = 1 << 20;
-      retry.initial_backoff = std::chrono::milliseconds(50);
-      retry.max_backoff = std::chrono::milliseconds(5000);
-      return retry;
-    }();
-    /// Seed for the manifest-retry jitter (deterministic schedules).
-    uint64_t backoff_seed = 42;
   };
 
   /// Point-in-time replica health.
@@ -107,6 +101,7 @@ class ReplicaProxy {
     bool degraded = false;
     /// False until a manifest has been loaded successfully.
     bool manifest_ok = false;
+    /// Rows in the served window (capacity-trimmed, as ContextSnapshot()).
     uint64_t rows_in_view = 0;
     struct Tail {
       size_t index = 0;
@@ -161,13 +156,18 @@ class ReplicaProxy {
   void Start();
   void Stop();
 
-  /// Relative key for (x, y) against the replica's current view. The key
-  /// is bit-identical to the leader's Explain at the same published
-  /// sequence; `degraded` is true when the view is behind a quarantined
-  /// or failing replication path. kFailedPrecondition while the view is
-  /// empty.
+  /// Relative key for (x, y) against the replica's current view:
+  /// ExplainBatch of one item.
   Result<KeyResult> Explain(const Instance& x, Label y,
                             const Deadline& deadline = {}) const;
+
+  /// The view's ExplainBatch: one read of its index answers every item,
+  /// each key bit-identical to the leader's at the same published
+  /// sequence. Keys are also flagged `degraded` while the view is behind a
+  /// quarantined or failing replication path. kFailedPrecondition while
+  /// the view is empty.
+  std::vector<Result<KeyResult>> ExplainBatch(
+      const std::vector<BatchQuery>& items) const;
 
   /// Closest counterfactual witnesses from the current view.
   Result<std::vector<RelativeCounterfactual>> Counterfactuals(
@@ -186,6 +186,8 @@ class ReplicaProxy {
   obs::Registry& registry() const { return *registry_; }
 
  private:
+  static constexpr size_t kReseed = SIZE_MAX;
+
   struct ShardTail {
     bool bootstrapped = false;
     bool quarantined = false;
@@ -197,6 +199,9 @@ class ReplicaProxy {
     std::vector<ContextShard::Row> rows;
     /// Manifest watermark this tail is complete up to.
     uint64_t applied_through = 0;
+    /// rows[0, fed) are in the served view; kReseed for a new tail and
+    /// after its rows were replaced (bootstrap, new generation, resync).
+    size_t fed = kReseed;
   };
 
   /// One shard's shipped file contents, read before any lock is taken.
@@ -231,10 +236,17 @@ class ReplicaProxy {
   /// half of the manifest digest contract).
   static uint32_t DigestRows(const std::vector<ContextShard::Row>& rows,
                              uint64_t published);
-  /// Recomputes the view watermark + gauges from the tails. Under mu_.
+  /// Brings `*view`, fed through watermark `fed_through`, to the tails'
+  /// watermark min(applied_through) and returns it: records the rows that
+  /// crossed it, or first swaps in a fresh view when there is none, the
+  /// watermark fell, or a tail's rows were replaced.
+  uint64_t AdvanceView(std::vector<ShardTail>* tails, uint64_t fed_through,
+                       std::shared_ptr<ExplainableProxy>* view) const;
+  /// Advances the view and refreshes the gauges. Under mu_.
   void PublishViewLocked();
-  /// Copies the served view (seq < view watermark, capacity-windowed).
-  std::vector<ContextShard::Row> ViewRows(bool* degraded) const;
+  /// The served view; `degraded` reports a quarantined tail or a failing
+  /// manifest.
+  std::shared_ptr<const ExplainableProxy> View(bool* degraded) const;
   Status CatchUpLocked();
   /// Lazily creates the per-shard tail-quarantined gauge.
   obs::Gauge* TailGauge(size_t shard) const;
@@ -249,6 +261,10 @@ class ReplicaProxy {
   /// Guards tails_ + view fields. Held only for memory work.
   mutable std::mutex mu_;
   std::vector<ShardTail> tails_;
+  /// The served window: a record-only proxy (private registry, one shard)
+  /// holding the rows below view_published_. Swapped whole on a reseed, so
+  /// a reader's copy stays valid.
+  std::shared_ptr<ExplainableProxy> view_;
   uint64_t view_published_ = 0;
   uint64_t latest_published_ = 0;
   bool manifest_ok_ = false;

@@ -23,6 +23,14 @@ const char* RoutePolicyName(RoutePolicy policy) {
 
 namespace {
 
+/// Hedge delay = this × the primary's rolling p95 (before the clamp).
+constexpr double kHedgeP95Factor = 2.0;
+/// Threads executing hedged attempts; at least 2 so a stuck primary cannot
+/// starve its own hedge.
+constexpr size_t kHedgeThreads = 2;
+/// Explain latency samples kept per backend for the p95 estimate.
+constexpr size_t kLatencyWindow = 64;
+
 /// A failure that is the request's answer, not the backend's fault: a
 /// malformed request (kInvalidArgument), an admission shed
 /// (kResourceExhausted) or a spent budget (kDeadlineExceeded). It neither
@@ -64,9 +72,6 @@ Result<std::unique_ptr<ServingGroup>> ServingGroup::Create(
     return Status::InvalidArgument(
         "hedge_deadline_fraction must be in (0, 1]");
   }
-  if (options.hedge_p95_factor <= 0.0) {
-    return Status::InvalidArgument("hedge_p95_factor must be positive");
-  }
   return std::unique_ptr<ServingGroup>(
       new ServingGroup(leader, std::move(replicas), options));
 }
@@ -75,7 +80,6 @@ ServingGroup::ServingGroup(ExplainableProxy* leader,
                            std::vector<ReplicaProxy*> replicas,
                            const Options& options)
     : leader_(leader), options_(options), policy_(options.policy) {
-  if (options_.latency_window == 0) options_.latency_window = 1;
   // One registry for the stack: a /metrics scrape shows the proxy's
   // admission beside the group's routing.
   registry_ = options_.registry != nullptr
@@ -92,12 +96,11 @@ ServingGroup::ServingGroup(ExplainableProxy* leader,
     if (i > 0) backend.replica = replicas[i - 1];
     backend.breaker =
         std::make_unique<CircuitBreaker>(options_.breaker, options_.clock);
-    backend.latencies_us.assign(options_.latency_window, 0);
+    backend.latencies_us.assign(kLatencyWindow, 0);
   }
   InitInstruments();
   if (options_.hedge) {
-    hedge_pool_ = std::make_unique<ThreadPool>(
-        std::max<size_t>(2, options_.hedge_threads));
+    hedge_pool_ = std::make_unique<ThreadPool>(kHedgeThreads);
   }
   RefreshProbes();
 }
@@ -142,7 +145,7 @@ void ServingGroup::InitInstruments() {
     backend.healthy_gauge = reg.GetGauge(
         "cce_group_backend_healthy",
         "1 while the backend is routable, non-degraded, breaker-closed and "
-        "within the freshness slack.",
+        "at the leader's published sequence.",
         labels);
     backend.evicted_gauge = reg.GetGauge(
         "cce_group_backend_evicted",
@@ -185,7 +188,6 @@ std::vector<size_t> ServingGroup::RouteOrder() {
     order.push_back(i);
     max_published = std::max(max_published, backends_[i].published);
   }
-  const uint64_t slack = options_.freshness_slack_seq;
   const RoutePolicy policy = policy_;
   std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
     const Backend& ba = backends_[a];
@@ -200,8 +202,8 @@ std::vector<size_t> ServingGroup::RouteOrder() {
     const int64_t p95_a = P95Locked(ba);
     const int64_t p95_b = P95Locked(bb);
     if (policy == RoutePolicy::kPreferFresh) {
-      const bool fresh_a = ba.published + slack >= max_published;
-      const bool fresh_b = bb.published + slack >= max_published;
+      const bool fresh_a = ba.published == max_published;
+      const bool fresh_b = bb.published == max_published;
       if (fresh_a != fresh_b) return fresh_a;
       if (!fresh_a && ba.published != bb.published) {
         return ba.published > bb.published;
@@ -272,7 +274,7 @@ std::chrono::milliseconds ServingGroup::HedgeDelay(size_t primary,
     p95_us = P95Locked(backends_[primary]);
   }
   auto delay = std::chrono::milliseconds(static_cast<int64_t>(
-      static_cast<double>(p95_us) * options_.hedge_p95_factor / 1000.0));
+      static_cast<double>(p95_us) * kHedgeP95Factor / 1000.0));
   delay = std::clamp(delay, options_.hedge_min_delay, options_.hedge_max_delay);
   if (!deadline.infinite()) {
     const auto budget = std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -520,18 +522,9 @@ std::vector<Result<ServingGroup::ExplainResult>> ServingGroup::Dispatch(
     const uint64_t before = BackendSeq(index);
     const auto start = registry_->now();
     if (options_.explain_interceptor) options_.explain_interceptor(index);
-    std::vector<Result<KeyResult>> keys;
-    if (index == 0) {
-      keys = leader_->ExplainBatch(items);
-    } else {
-      // Replicas expose no batch surface; the routing decision and the
-      // serving view are still shared across the batch.
-      keys.reserve(items.size());
-      for (const BatchQuery& item : items) {
-        keys.push_back(
-            backends_[index].replica->Explain(item.x, item.y, item.deadline));
-      }
-    }
+    std::vector<Result<KeyResult>> keys =
+        index == 0 ? leader_->ExplainBatch(items)
+                   : backends_[index].replica->ExplainBatch(items);
     const int64_t micros =
         std::chrono::duration_cast<std::chrono::microseconds>(
             registry_->now() - start)
@@ -626,12 +619,10 @@ void ServingGroup::RefreshProbes() {
     Backend& backend = backends_[i];
     backend.degraded = degraded[i];
     backend.published = published[i];
-    const uint64_t lag =
-        published[0] > backend.published ? published[0] - backend.published : 0;
     const bool healthy =
         !backend.evicted && !backend.degraded &&
         backend.breaker->state() == CircuitBreaker::State::kClosed &&
-        lag <= options_.freshness_slack_seq;
+        backend.published >= published[0];
     backend.healthy_gauge->Set(healthy ? 1 : 0);
     backend.evicted_gauge->Set(backend.evicted ? 1 : 0);
   }
@@ -659,7 +650,7 @@ ServingGroup::GroupHealth ServingGroup::Health() {
     entry.p95_us = P95Locked(backend);
     entry.healthy = !entry.evicted && !entry.degraded &&
                     entry.breaker == CircuitBreaker::State::kClosed &&
-                    entry.lag_seq <= options_.freshness_slack_seq;
+                    entry.lag_seq == 0;
     fully = fully && entry.healthy;
     health.explains += backend.explains->Value();
     health.backends.push_back(std::move(entry));

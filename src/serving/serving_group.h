@@ -31,9 +31,9 @@ enum class RoutePolicy {
   /// of the leader (the pre-group behaviour, and the bench baseline).
   kLeaderOnly = 0,
   /// Reads prefer the freshest non-degraded view: the leader first, then
-  /// replicas by published sequence descending. A replica within
-  /// `freshness_slack_seq` of the leader ties and the faster one (p95)
-  /// wins. This is the default: leader answers unless it is sick.
+  /// replicas by published sequence descending. A replica at the leader's
+  /// sequence ties and the faster one (p95) wins. This is the default:
+  /// leader answers unless it is sick.
   kPreferFresh = 1,
   /// Reads prefer whoever answers fastest among the healthy backends
   /// (p95 ascending, degraded views last), accepting bounded staleness.
@@ -66,10 +66,8 @@ const char* RoutePolicyName(RoutePolicy policy);
 ///
 /// Within those fences a served key is exactly the leader's key at the
 /// reported sequence, which is what SUITE=ha asserts under dual fault
-/// injection. The leader searches its shard-index slices with the bitset
-/// greedy and a replica searches its materialized view with the
-/// sorted-merge loop; they agree because every count either compares is
-/// an exact integer and both break ties on the same 2048-row prefix.
+/// injection: every backend answers through an ExplainableProxy's
+/// ExplainBatch over its shard index (a replica's is its fed view).
 ///
 /// The group takes no repair actions itself; pair it with a Supervisor
 /// (serving/supervisor.h) to close the detect-to-repair loop, or drive
@@ -86,25 +84,15 @@ class ServingGroup {
 
     /// Hedged Explains (ignored under kLeaderOnly). A hedge fires when
     /// the primary backend has not answered within
-    ///   clamp(p95(primary) * hedge_p95_factor,
-    ///         hedge_min_delay, hedge_max_delay)
-    /// further capped at `hedge_deadline_fraction` of the remaining
-    /// deadline when one is set.
+    ///   clamp(2 * p95(primary), hedge_min_delay, hedge_max_delay)
+    /// (p95 over its last 64 Explains), further capped at
+    /// `hedge_deadline_fraction` of the remaining deadline when one is
+    /// set. Two hedge-pool threads, so a stuck primary cannot starve its
+    /// own hedge.
     bool hedge = true;
-    double hedge_p95_factor = 2.0;
     std::chrono::milliseconds hedge_min_delay{1};
     std::chrono::milliseconds hedge_max_delay{50};
     double hedge_deadline_fraction = 0.5;
-    /// Worker threads executing hedged attempts; at least 2 so a stuck
-    /// primary cannot starve its own hedge.
-    size_t hedge_threads = 2;
-    /// Explain latency samples kept per backend for the p95 estimate.
-    size_t latency_window = 64;
-
-    /// A replica this many sequences behind the leader still ranks as
-    /// "fresh" under kPreferFresh, and still counts as healthy for
-    /// GroupHealth::fully_healthy.
-    uint64_t freshness_slack_seq = 0;
 
     /// Per-backend circuit breaker configuration (one breaker per
     /// backend; an Explain failure on a backend counts against it, a
@@ -144,7 +132,7 @@ class ServingGroup {
     size_t index = 0;
     bool is_leader = false;
     bool evicted = false;
-    /// Routable and serving a non-degraded view within the lag slack.
+    /// Routable and serving a non-degraded view at the leader's sequence.
     bool healthy = false;
     /// Last probe saw a degraded view (quarantined shards / tails, or a
     /// failing manifest).
@@ -169,7 +157,7 @@ class ServingGroup {
     uint64_t degraded_serves = 0;
     uint64_t errors = 0;
     /// True when every backend is routed (not evicted), its breaker is
-    /// closed, its view is non-degraded and within the freshness slack —
+    /// closed, its view is non-degraded and at the leader's sequence —
     /// the SUITE=ha convergence target.
     bool fully_healthy = false;
   };
@@ -195,12 +183,10 @@ class ServingGroup {
   Result<ExplainResult> Explain(const Instance& x, Label y,
                                 const Deadline& deadline = {});
 
-  /// Routed batch Explain: one routing decision and one backend dispatch
-  /// answers every item. On the leader the items run as one
-  /// ExplainableProxy::ExplainBatch (one shared read of the shard
-  /// indexes); on a replica they run item-by-item against a single routed
-  /// view. Only a lone item is hedged (when hedging applies); a batch of
-  /// several fails over sequentially. Results are positional — result i
+  /// Routed batch Explain: one routing decision and one backend
+  /// ExplainBatch call (one shared read of that backend's index) answers
+  /// every item. Only a lone item is hedged (when hedging applies); a
+  /// batch of several fails over sequentially. Results are positional — result i
   /// answers items[i] — and item failures are individual: per-item
   /// deadlines and degradation flags are honored one by one, and the batch
   /// fails over to the next backend only when the current one served *no*

@@ -13,6 +13,8 @@ constexpr const char* kFaults[] = {"quarantined_shard", "poisoned_wal",
 constexpr char kObservationsHelp[] =
     "Fault observations by the supervisor, counted once per supervision "
     "cycle the fault is present.";
+/// Seed for the repair-backoff jitter (deterministic repair schedules).
+constexpr uint64_t kBackoffSeed = 42;
 
 }  // namespace
 
@@ -42,7 +44,7 @@ Supervisor::Supervisor(ServingGroup* group, const Options& options)
                  ? options.clock
                  : [] { return std::chrono::steady_clock::now(); }),
       bucket_(options.action_rate, clock_),
-      rng_(options.backoff_seed) {
+      rng_(kBackoffSeed) {
   const size_t shards = group_->leader()->num_shards();
   for (size_t i = 0; i < shards; ++i) {
     domains_.emplace_back("leader_shard_" + std::to_string(i),

@@ -75,8 +75,6 @@ class Supervisor {
       options.max_backoff = std::chrono::milliseconds(5000);
       return options;
     }();
-    /// Seed for the backoff jitter (deterministic repair schedules).
-    uint64_t backoff_seed = 42;
     /// Rate limit shared by every repair/evict action across domains.
     TokenBucket::Options action_rate = [] {
       TokenBucket::Options options;

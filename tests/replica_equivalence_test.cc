@@ -1,10 +1,14 @@
+#include <algorithm>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/logging.h"
+#include "common/random.h"
 #include "core/osrk.h"
+#include "core/srk.h"
 #include "core/ssrk.h"
 #include "io/env.h"
 #include "serving/proxy.h"
@@ -286,6 +290,238 @@ TEST(ReplicaEquivalenceTest, TornShippedSegmentQuarantinesThenReconverges) {
   EXPECT_EQ(replica->published_seq(), data.size());
   ExpectSameContext(leader->ContextSnapshot(), replica->ContextSnapshot(),
                     "forced resync");
+}
+
+TEST(ReplicaEquivalenceTest, RowsInViewCountsTheServedWindow) {
+  // Without a compaction the shipped WALs still hold every evicted row, so
+  // far more rows sit below the watermark than a capacity-bounded replica
+  // serves. Health().rows_in_view reports the served window.
+  cce::testing::ScopedTestDir tmp;
+  const std::string leader_dir = tmp.File("leader");
+  const std::string ship_dir = tmp.File("ship");
+  Dataset data = cce::testing::RandomContext(100, 5, 3, 17, /*noise=*/0.1);
+  auto leader = MakeLeader(data, /*shards=*/4, leader_dir, /*capacity=*/50);
+  for (size_t row = 0; row < data.size(); ++row) {
+    CCE_CHECK_OK(leader->Record(data.instance(row), data.label(row)));
+  }
+  ShardLogShipper::Options ship_options;
+  ship_options.source_dir = leader_dir;
+  ship_options.ship_dir = ship_dir;
+  ship_options.shards = leader->num_shards();
+  ShardLogShipper shipper(ship_options);
+  CCE_CHECK_OK(shipper.Ship(leader->PublishedSequence()));
+
+  auto replica = MakeReplica(data, ship_dir, /*capacity=*/50);
+  ASSERT_EQ(replica->published_seq(), data.size());
+  EXPECT_EQ(replica->ContextSnapshot().size(), 50u);
+  EXPECT_EQ(replica->GetHealth().rows_in_view, 50u);
+  ExpectSameContext(leader->ContextSnapshot(), replica->ContextSnapshot(),
+                    "capacity window");
+}
+
+/// Queries over recorded rows, some with one value perturbed (possibly to
+/// a value the window does not hold), under either label.
+std::vector<BatchQuery> MakeQueries(const Dataset& data, Rng* rng,
+                                    size_t count) {
+  std::vector<BatchQuery> queries;
+  for (size_t i = 0; i < count; ++i) {
+    BatchQuery query;
+    query.x = data.instance(rng->Uniform(data.size()));
+    if (rng->Bernoulli(0.3)) {
+      const size_t feature = rng->Uniform(query.x.size());
+      query.x[feature] = static_cast<ValueId>(
+          rng->Uniform(data.schema().DomainSize(feature)));
+    }
+    query.y = static_cast<Label>(rng->Uniform(2));
+    query.deadline = Deadline::Infinite();
+    queries.push_back(std::move(query));
+  }
+  return queries;
+}
+
+/// The replica's ExplainBatch, split into random batches, against the
+/// reference engine (Srk's sorted-merge loop) on the replica's own view.
+void ExpectReplicaMatchesReference(const ReplicaProxy& replica,
+                                   const std::vector<BatchQuery>& queries,
+                                   double alpha, Rng* rng,
+                                   const std::string& what) {
+  const Context view = replica.ContextSnapshot();
+  const bool degraded = replica.GetHealth().degraded;
+  std::vector<Result<KeyResult>> keys;
+  for (size_t begin = 0; begin < queries.size();) {
+    const size_t end = begin + 1 + rng->Uniform(queries.size() - begin);
+    for (auto& key : replica.ExplainBatch(std::vector<BatchQuery>(
+             queries.begin() + static_cast<std::ptrdiff_t>(begin),
+             queries.begin() + static_cast<std::ptrdiff_t>(end)))) {
+      keys.push_back(std::move(key));
+    }
+    begin = end;
+  }
+  ASSERT_EQ(keys.size(), queries.size()) << what;
+  for (size_t q = 0; q < queries.size(); ++q) {
+    const std::string label = what + " query " + std::to_string(q);
+    if (view.size() == 0) {
+      EXPECT_EQ(keys[q].status().code(), StatusCode::kFailedPrecondition)
+          << label;
+      continue;
+    }
+    Srk::Options options;
+    options.alpha = alpha;
+    auto want = Srk::ExplainInstance(view, queries[q].x, queries[q].y,
+                                     options);
+    ASSERT_TRUE(want.ok()) << label;
+    ASSERT_TRUE(keys[q].ok()) << label << ": " << keys[q].status().ToString();
+    EXPECT_EQ(keys[q]->key, want->key) << label;
+    EXPECT_EQ(keys[q]->pick_order, want->pick_order) << label;
+    EXPECT_EQ(keys[q]->achieved_alpha, want->achieved_alpha) << label;
+    EXPECT_EQ(keys[q]->satisfied, want->satisfied) << label;
+    EXPECT_EQ(keys[q]->degraded, want->degraded || degraded) << label;
+  }
+}
+
+TEST(ReplicaEquivalenceTest, SeededInterleavingsMatchReferenceEngine) {
+  // The replica's fed view is maintained incrementally across every kind
+  // of change the replication path sees: leader Records past the capacity,
+  // compactions into new generations, ship cycles, catch-ups, scrubs,
+  // forced resyncs and restarts on the same ship directory. After every
+  // step its keys must equal the reference engine on its own view, and a
+  // replica at the leader's sequence must serve the leader's context and
+  // keys.
+  cce::testing::ScopedTestDir tmp;
+  constexpr size_t kCapacity = 96;
+  for (size_t shards : {size_t{1}, size_t{4}}) {
+    const std::string tag = "interleave_" + std::to_string(shards);
+    const std::string leader_dir = tmp.File(tag + "_leader");
+    const std::string ship_dir = tmp.File(tag + "_ship");
+    const double alpha = shards == 1 ? 1.0 : 0.9;
+    Dataset data =
+        cce::testing::RandomContext(1500, 6, 3, 60 + shards, /*noise=*/0.2);
+
+    ExplainableProxy::Options leader_options;
+    leader_options.monitor_drift = false;
+    leader_options.shards = shards;
+    leader_options.alpha = alpha;
+    leader_options.context_capacity = kCapacity;
+    leader_options.durability.dir = leader_dir;
+    leader_options.durability.sync_every = 0;
+    // A small log limit makes compactions part of ordinary Record traffic.
+    leader_options.durability.compact_threshold_bytes = 2 * 1024;
+    auto leader_or =
+        ExplainableProxy::Create(data.schema_ptr(), nullptr, leader_options);
+    CCE_CHECK_OK(leader_or.status());
+    ExplainableProxy& leader = **leader_or;
+
+    ShardLogShipper::Options ship_options;
+    ship_options.source_dir = leader_dir;
+    ship_options.ship_dir = ship_dir;
+    ship_options.shards = shards;
+    ShardLogShipper shipper(ship_options);
+
+    ReplicaProxy::Options replica_options;
+    replica_options.ship_dir = ship_dir;
+    replica_options.context_capacity = kCapacity;
+    replica_options.alpha = alpha;
+    auto open_replica = [&] {
+      auto replica = ReplicaProxy::Create(data.schema_ptr(), replica_options);
+      CCE_CHECK_OK(replica.status());
+      return std::move(replica).value();
+    };
+    std::unique_ptr<ReplicaProxy> replica = open_replica();
+
+    // Nothing shipped yet: the view is empty. A valid item is answered
+    // kFailedPrecondition and a malformed one kInvalidArgument.
+    const auto empty = replica->ExplainBatch(
+        {{data.instance(0), data.label(0), Deadline::Infinite()},
+         {Instance(2), data.label(0), Deadline::Infinite()}});
+    ASSERT_EQ(empty.size(), 2u);
+    EXPECT_EQ(empty[0].status().code(), StatusCode::kFailedPrecondition);
+    EXPECT_EQ(empty[1].status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(replica->Counterfactuals(data.instance(0), data.label(0))
+                  .status()
+                  .code(),
+              StatusCode::kFailedPrecondition);
+    EXPECT_EQ(replica->Counterfactuals(Instance(2), data.label(0))
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument);
+
+    Rng rng(977 + shards);
+    size_t next_row = 0;
+    size_t restarts = 0;
+    size_t resyncs = 0;
+    size_t in_step = 0;
+    uint64_t newest_generation = 0;
+    for (int step = 0; step < 60; ++step) {
+      const std::string what = tag + " step " + std::to_string(step);
+      switch (rng.Uniform(8)) {
+        case 0:
+          for (size_t i = 1 + rng.Uniform(8); i > 0; --i, ++next_row) {
+            CCE_CHECK_OK(leader.Record(data.instance(next_row % data.size()),
+                                       data.label(next_row % data.size())));
+          }
+          break;
+        case 1:
+          // Past the capacity: the window slides all the way and every
+          // shard's log crosses the compaction threshold.
+          for (size_t i = kCapacity + rng.Uniform(64); i > 0;
+               --i, ++next_row) {
+            CCE_CHECK_OK(leader.Record(data.instance(next_row % data.size()),
+                                       data.label(next_row % data.size())));
+          }
+          break;
+        case 2:
+        case 3:
+          CCE_CHECK_OK(shipper.Ship(leader.PublishedSequence()));
+          break;
+        case 4:
+        case 5:
+          CCE_CHECK_OK(replica->CatchUp());
+          break;
+        case 6:
+          if (rng.Bernoulli(0.5)) {
+            CCE_CHECK_OK(replica->Scrub());
+          } else {
+            CCE_CHECK_OK(replica->ForceResync());
+            ++resyncs;
+          }
+          break;
+        default:
+          replica.reset();
+          replica = open_replica();
+          ++restarts;
+          break;
+      }
+      for (const auto& tail : replica->GetHealth().tails) {
+        newest_generation = std::max(newest_generation, tail.base);
+      }
+      ExpectReplicaMatchesReference(*replica, MakeQueries(data, &rng, 5),
+                                    alpha, &rng, what);
+      if (replica->published_seq() == leader.PublishedSequence()) {
+        ++in_step;
+        ExpectSameContext(leader.ContextSnapshot(),
+                          replica->ContextSnapshot(), what);
+        const std::vector<BatchQuery> queries = MakeQueries(data, &rng, 4);
+        const auto want = leader.ExplainBatch(queries);
+        const auto got = replica->ExplainBatch(queries);
+        for (size_t q = 0; q < queries.size(); ++q) {
+          ASSERT_EQ(want[q].ok(), got[q].ok()) << what << " query " << q;
+          if (!want[q].ok()) continue;
+          EXPECT_EQ(got[q]->key, want[q]->key) << what << " query " << q;
+          EXPECT_EQ(got[q]->pick_order, want[q]->pick_order) << what;
+          EXPECT_EQ(got[q]->achieved_alpha, want[q]->achieved_alpha) << what;
+          EXPECT_EQ(got[q]->satisfied, want[q]->satisfied) << what;
+        }
+      }
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    // The seeds are chosen so that every kind of step happened.
+    EXPECT_GT(leader.Health().wal_compactions, 0u) << tag;
+    EXPECT_GT(newest_generation, 0u) << tag << ": no new generation applied";
+    EXPECT_GT(restarts, 0u) << tag;
+    EXPECT_GT(resyncs, 0u) << tag;
+    EXPECT_GT(in_step, 0u) << tag;
+    EXPECT_GT(next_row, 2 * kCapacity) << tag;
+  }
 }
 
 }  // namespace

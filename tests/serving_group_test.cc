@@ -421,6 +421,38 @@ TEST(ServingGroupTest, BatchFailsOverToReplicaWhenLeaderEvicted) {
   EXPECT_EQ(group->Health().hedges, 0u);
 }
 
+TEST(ServingGroupTest, BatchOnAReplicaIsOneReplicaCall) {
+  // A batch routed to a replica is one ReplicaProxy::ExplainBatch: one
+  // latency sample for the call, one explain count per item.
+  GroupStack stack;
+  auto group = stack.MakeGroup(ServingGroup::Options{});
+  group->EvictBackend(0);
+  group->RefreshProbes();
+  obs::Registry& registry = stack.replica->registry();
+  obs::Histogram* latency =
+      registry.GetHistogram("cce_replica_explain_latency_us", "");
+  obs::Counter* explains = registry.GetCounter("cce_replica_explains_total", "");
+  const uint64_t calls_before = latency->TakeSnapshot().count;
+  const uint64_t items_before = explains->Value();
+
+  std::vector<BatchQuery> items;
+  for (size_t row = 0; row < 5; ++row) {
+    items.push_back({stack.data.instance(row), stack.data.label(row),
+                     Deadline::Infinite()});
+  }
+  auto results = group->ExplainBatch(items);
+  EXPECT_EQ(latency->TakeSnapshot().count - calls_before, 1u);
+  EXPECT_EQ(explains->Value() - items_before, items.size());
+  ASSERT_EQ(results.size(), items.size());
+  for (size_t i = 0; i < items.size(); ++i) {
+    auto expected = stack.leader->Explain(items[i].x, items[i].y);
+    ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+    ASSERT_TRUE(results[i].ok()) << i << ": " << results[i].status().ToString();
+    EXPECT_EQ(results[i]->backend, 1u) << i;
+    ExpectSameKey(results[i]->key, *expected);
+  }
+}
+
 TEST(ServingGroupTest, AllMalformedBatchLeavesHalfOpenBreakerHalfOpen) {
   // An empty leader fails every Explain with kFailedPrecondition: one
   // failure trips its breaker, and after the cooldown the next dispatch is
