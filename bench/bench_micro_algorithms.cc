@@ -1,17 +1,17 @@
 // Google-benchmark micro-benchmarks for the core algorithms: SRK scaling
 // in |I| and n, OSRK/SSRK per-arrival update cost, the conformity
-// checker's index construction, and the sorted-merge vs bitset engine
-// comparison (EXPERIMENTS.md "Bitset conformity engine" records the
-// numbers).
+// checker's index construction, SRK's sorted-merge vs bitset engine, and
+// the cost of sliding a shard index's window (EXPERIMENTS.md "Bitset
+// conformity engine" records the numbers).
 
 #include <benchmark/benchmark.h>
 
 #include "common/logging.h"
-#include "core/bitset_conformity.h"
 #include "core/conformity.h"
 #include "core/osrk.h"
 #include "core/srk.h"
 #include "core/ssrk.h"
+#include "serving/shard_index.h"
 #include "tests/test_util.h"
 
 namespace cce {
@@ -89,10 +89,6 @@ void BM_ConformityIndexBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_ConformityIndexBuild)->Range(1024, 32768)->Complexity();
 
-// -- Engine comparison: sorted-merge reference vs blocked bitset. ---------
-//
-// Same context, same key, same query.
-
 void BM_ViolatorCountSorted(benchmark::State& state) {
   size_t rows = static_cast<size_t>(state.range(0));
   Dataset context = testing::RandomContext(rows, 12, 6, 42);
@@ -106,18 +102,9 @@ void BM_ViolatorCountSorted(benchmark::State& state) {
 }
 BENCHMARK(BM_ViolatorCountSorted)->Arg(1 << 18)->Arg(1 << 21);
 
-void BM_ViolatorCountBitset(benchmark::State& state) {
-  size_t rows = static_cast<size_t>(state.range(0));
-  Dataset context = testing::RandomContext(rows, 12, 6, 42);
-  BitsetConformityChecker checker(&context);
-  FeatureSet key = {0, 3, 7};
-  for (auto _ : state) {
-    size_t violators =
-        checker.CountViolators(context.instance(0), context.label(0), key);
-    benchmark::DoNotOptimize(violators);
-  }
-}
-BENCHMARK(BM_ViolatorCountBitset)->Arg(1 << 18)->Arg(1 << 21);
+// -- SRK engine comparison: sorted-merge reference vs bitset greedy. ------
+//
+// Same context, same x0, same key.
 
 void BM_SrkSorted(benchmark::State& state) {
   size_t rows = static_cast<size_t>(state.range(0));
@@ -144,17 +131,25 @@ void BM_SrkBitset(benchmark::State& state) {
 }
 BENCHMARK(BM_SrkBitset)->Arg(1 << 15)->Arg(1 << 18);
 
-void BM_BitsetIncrementalAddRow(benchmark::State& state) {
-  Dataset context = testing::RandomContext(4096, 12, 6, 42);
-  BitsetConformityChecker checker(&context);
+void BM_ShardIndexSlide(benchmark::State& state) {
+  // One Record's worth of index maintenance on a full window: Push the new
+  // row, PopFront the oldest. The window stays at 4096 rows, so the
+  // half-live compaction (one memmove per bitmap, every 64 * k slides) is
+  // amortized into the figure.
+  constexpr size_t kWindow = 4096;
+  Dataset context = testing::RandomContext(2 * kWindow, 12, 6, 42);
+  serving::ShardIndex index(context.schema());
   size_t row = 0;
+  for (; row < kWindow; ++row) {
+    index.Push(context.instance(row), context.label(row));
+  }
   for (auto _ : state) {
-    size_t id = checker.AddRow(context.instance(row), context.label(row));
-    checker.RemoveRow(id);  // keep the live set bounded
+    index.Push(context.instance(row), context.label(row));
+    benchmark::DoNotOptimize(index.PopFront());
     row = row + 1 < context.size() ? row + 1 : 0;
   }
 }
-BENCHMARK(BM_BitsetIncrementalAddRow);
+BENCHMARK(BM_ShardIndexSlide);
 
 void BM_ConformityPrecision(benchmark::State& state) {
   Dataset context = testing::RandomContext(16384, 12, 6, 42);

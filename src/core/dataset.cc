@@ -12,15 +12,6 @@ void Dataset::Add(Instance values, Label label) {
   labels_.push_back(label);
 }
 
-void Dataset::CopyColumn(FeatureId feature,
-                         std::vector<ValueId>* out) const {
-  CCE_CHECK(feature < schema_->num_features());
-  out->resize(instances_.size());
-  for (size_t row = 0; row < instances_.size(); ++row) {
-    (*out)[row] = instances_[row][feature];
-  }
-}
-
 Dataset Dataset::Subset(const std::vector<size_t>& rows) const {
   Dataset out(schema_);
   out.instances_.reserve(rows.size());

@@ -41,12 +41,6 @@ class Dataset {
   const Schema& schema() const { return *schema_; }
   const std::shared_ptr<const Schema>& schema_ptr() const { return schema_; }
 
-  /// Fills `out` with the column of `feature` (out[row] = value(row,
-  /// feature)). Row-id-aligned columnar plumbing for the bitset conformity
-  /// engine, which builds its per-(feature, value) bitmaps one feature at a
-  /// time over a contiguous copy instead of striding across row storage.
-  void CopyColumn(FeatureId feature, std::vector<ValueId>* out) const;
-
   /// New dataset holding the rows at `rows` (in that order).
   Dataset Subset(const std::vector<size_t>& rows) const;
 

@@ -1,7 +1,6 @@
 #include "core/row_bitmap.h"
 
 #include <algorithm>
-#include <bit>
 
 #include "common/logging.h"
 
@@ -24,28 +23,6 @@ void RowBitmap::ClearTail() {
   if (tail != 0 && !words_.empty()) {
     words_.back() &= (uint64_t{1} << tail) - 1;
   }
-}
-
-size_t RowBitmap::Count() const {
-  size_t count = 0;
-  for (uint64_t word : words_) count += std::popcount(word);
-  return count;
-}
-
-void RowBitmap::AndWith(const RowBitmap& other) {
-  CCE_CHECK(rows_ == other.rows_);
-  for (size_t w = 0; w < words_.size(); ++w) words_[w] &= other.words_[w];
-}
-
-std::vector<size_t> RowBitmap::ToRows() const {
-  std::vector<size_t> rows;
-  rows.reserve(Count());
-  ForEachSetBit([&rows](size_t row) { rows.push_back(row); });
-  return rows;
-}
-
-int RowBitmap::CountTrailingZeros(uint64_t word) {
-  return std::countr_zero(word);
 }
 
 }  // namespace cce

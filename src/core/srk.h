@@ -40,12 +40,12 @@ class Srk {
     /// than between candidate features, so expiry can be detected up to one
     /// candidate scan later than on the sorted-merge path.
     Deadline deadline;
-    /// Selects the serial bitset engine (docs/algorithms.md): x0's
-    /// violator and agreement bitmaps are built over the context, and
-    /// violator counting becomes word-AND + popcount instead of
+    /// Runs the bitset greedy (ExplainParts, which every served key runs
+    /// over shard-index slices) on one part built from the context: x0's
+    /// violator and agreement bitmaps, then word-AND + popcount instead of
     /// sorted-row-id scans. Produces bit-identical keys to the sorted-merge
-    /// reference loop (determinism contract, enforced by
-    /// tests/conformity_parallel_test.cc).
+    /// reference loop (docs/algorithms.md "Determinism contract", enforced
+    /// by tests/conformity_parallel_test.cc).
     bool parallel_conformity = false;
   };
 

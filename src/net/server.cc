@@ -65,6 +65,15 @@ void SetFailure(const Status& status, Answer* answer) {
   if (hint >= 0) answer->retry_after_ms = static_cast<uint32_t>(hint);
 }
 
+/// One HTTP/1.0 answer; the connection closes after it.
+std::string HttpResponse(const std::string& status_line,
+                         const std::string& content_type,
+                         const std::string& body) {
+  return status_line + "\r\nContent-Type: " + content_type +
+         "\r\nContent-Length: " + std::to_string(body.size()) +
+         "\r\nConnection: close\r\n\r\n" + body;
+}
+
 }  // namespace
 
 NetServer::NetServer(serving::ServingGroup* group, const Options& options)
@@ -518,6 +527,24 @@ void NetServer::HandleHttp(Connection* conn, const std::string& request_line) {
                                             ? std::string::npos
                                             : sp2 - sp1 - 1);
   }
+  conn->close_after_flush = true;
+  conn->close_cause = "client";
+  if (method == "GET" && path == "/healthz") {
+    // The probe takes backend locks that a Predict or a Record can hold
+    // for a long time, so it runs on a worker like any request: counted
+    // in flight, so drain waits for it and FlushConn closes only after
+    // the answer is written.
+    pending_.fetch_add(1, std::memory_order_relaxed);
+    ++conn->in_flight;
+    workers_->Submit([this, conn_id = conn->id] {
+      std::string out = HttpResponse(
+          "HTTP/1.0 200 OK", "text/plain; charset=utf-8",
+          group_->Health().fully_healthy ? "ok\n" : "degraded\n");
+      pending_.fetch_sub(1, std::memory_order_relaxed);
+      PushCompletion({conn_id, std::move(out), {}, /*http=*/true});
+    });
+    return;
+  }
   std::string status_line = "HTTP/1.0 200 OK";
   std::string content_type = "text/plain; charset=utf-8";
   std::string body;
@@ -528,18 +555,11 @@ void NetServer::HandleHttp(Connection* conn, const std::string& request_line) {
     metrics_scrapes_->Increment();
     content_type = "text/plain; version=0.0.4; charset=utf-8";
     body = obs::RenderPrometheusText(*registry_);
-  } else if (path == "/healthz") {
-    body = group_->Health().fully_healthy ? "ok\n" : "degraded\n";
   } else {
     status_line = "HTTP/1.0 404 Not Found";
     body = "not found (try /metrics or /healthz)\n";
   }
-  std::string out = status_line + "\r\nContent-Type: " + content_type +
-                    "\r\nContent-Length: " + std::to_string(body.size()) +
-                    "\r\nConnection: close\r\n\r\n" + body;
-  QueueFrame(conn, std::move(out));
-  conn->close_after_flush = true;
-  conn->close_cause = "client";
+  QueueFrame(conn, HttpResponse(status_line, content_type, body));
 }
 
 Deadline NetServer::DeadlineFor(uint32_t deadline_ms) const {
@@ -798,6 +818,7 @@ void NetServer::DrainCompletions() {
     }
     if (conn->in_flight > 0) --conn->in_flight;
     QueueFrame(conn, std::move(completion.frame));
+    if (completion.http) continue;
     responses_->Increment();
     request_latency_us_->Observe(
         std::chrono::duration_cast<std::chrono::microseconds>(

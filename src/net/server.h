@@ -185,6 +185,9 @@ class NetServer {
     uint64_t conn_id = 0;
     std::string frame;
     std::chrono::steady_clock::time_point started;
+    /// A /healthz answer: written like a frame, but neither counted as a
+    /// response nor timed as a request.
+    bool http = false;
   };
 
   /// One scalar Explain parked in the micro-batch queue between its

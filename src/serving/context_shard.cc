@@ -19,8 +19,7 @@ ContextShard::ContextShard(std::shared_ptr<const Schema> schema,
       options_(options),
       env_(options.env != nullptr ? options.env : io::Env::Default()),
       ins_(instruments),
-      index_base_(schema_),
-      index_(std::make_unique<BitsetConformityChecker>(&index_base_)) {
+      index_(*schema_) {
   if (options_.monitor_drift) {
     drift_ = std::make_unique<DriftMonitor>(schema_, options_.drift);
   }
@@ -60,7 +59,7 @@ Status ContextShard::QuarantineLocked(const std::string& reason,
   }
   wal_.reset();
   window_.clear();
-  ResetIndexLocked();
+  index_.Clear();
   window_size_.store(0, std::memory_order_release);
   front_seq_.store(UINT64_MAX, std::memory_order_release);
   total_recorded_.store(0, std::memory_order_release);
@@ -73,19 +72,14 @@ void ContextShard::PushRowLocked(uint64_t seq, const Instance& x, Label y) {
     front_seq_.store(seq, std::memory_order_release);
   }
   window_.push_back(Row{seq, x, y});
-  index_->AddRow(x, y);
+  index_.Push(x, y);
   window_size_.store(window_.size(), std::memory_order_release);
   if (drift_ != nullptr) drift_->Observe(x, y);
 }
 
-void ContextShard::ResetIndexLocked() {
-  index_ = std::make_unique<BitsetConformityChecker>(&index_base_);
-  front_id_ = 0;
-}
-
 size_t ContextShard::index_bytes() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return index_->bytes();
+  return index_.bytes();
 }
 
 void ContextShard::SyncFsyncCountersLocked() {
@@ -367,7 +361,7 @@ Status ContextShard::Repair() {
   wal_ = std::move(opened).value();
   wal_fsyncs_exported_ = 0;
   window_.clear();
-  ResetIndexLocked();
+  index_.Clear();
   window_size_.store(0, std::memory_order_release);
   front_seq_.store(UINT64_MAX, std::memory_order_release);
   total_recorded_.store(0, std::memory_order_release);
@@ -390,40 +384,9 @@ ContextShard::IndexSlices ContextShard::ReadIndex(
     const std::vector<SliceQuery>& queries, size_t head_rows,
     std::vector<uint64_t>* words, std::vector<uint64_t>* head_seqs) const {
   std::lock_guard<std::mutex> lock(mu_);
-  IndexSlices slices;
-  slices.offset = words->size();
-  slices.rows = window_.size();
+  const IndexSlices slices{index_.AppendSlices(queries, words),
+                           window_.size()};
   head_seqs->clear();
-  if (window_.empty()) return slices;
-  // Live ids are [front_id_, allocated_rows()): copy just the words that
-  // cover them. Masking every array with `live` clears the bits evicted
-  // rows left behind, so the parts are exact row sets.
-  const size_t begin = front_id_ >> 6;
-  const size_t end = (index_->allocated_rows() + 63) >> 6;
-  slices.words = end - begin;
-  slices.first_bit = front_id_ & 63;
-  const size_t n = schema_->num_features();
-  words->resize(slices.offset + queries.size() * (n + 1) * slices.words);
-  const uint64_t* live = index_->live_bits().data() + begin;
-  uint64_t* out = words->data() + slices.offset;
-  auto copy_masked = [&](const RowBitmap* bits, bool negate) {
-    if (bits == nullptr) {
-      // Never-indexed value or label: no row has it.
-      for (size_t w = 0; w < slices.words; ++w) out[w] = negate ? live[w] : 0;
-    } else {
-      const uint64_t* src = bits->data() + begin;
-      for (size_t w = 0; w < slices.words; ++w) {
-        out[w] = live[w] & (negate ? ~src[w] : src[w]);
-      }
-    }
-    out += slices.words;
-  };
-  for (const SliceQuery& query : queries) {
-    copy_masked(index_->LabelBits(query.y), /*negate=*/true);
-    for (FeatureId f = 0; f < n; ++f) {
-      copy_masked(index_->ValueBits(f, (*query.x)[f]), /*negate=*/false);
-    }
-  }
   const size_t head = std::min(head_rows, window_.size());
   for (size_t i = 0; i < head; ++i) head_seqs->push_back(window_[i].seq);
   return slices;
@@ -434,15 +397,8 @@ bool ContextShard::PopFront(Row* evicted) {
   if (window_.empty()) return false;
   if (evicted != nullptr) *evicted = std::move(window_.front());
   window_.pop_front();
-  index_->RemoveRow(front_id_++);
-  // Ids only grow, so reclaim the evicted ones once fewer than half the
-  // ids are live: shifting the dead front words out is one memmove of the
-  // index, at most once per window's worth of evictions.
-  if (front_id_ >= 64 && 2 * window_.size() < index_->allocated_rows()) {
-    const size_t words = front_id_ >> 6;
-    index_->DropLeadingWords(words);
-    front_id_ -= 64 * words;
-    if (ins_.index_compactions != nullptr) ins_.index_compactions->Increment();
+  if (index_.PopFront() && ins_.index_compactions != nullptr) {
+    ins_.index_compactions->Increment();
   }
   window_size_.store(window_.size(), std::memory_order_release);
   front_seq_.store(window_.empty() ? UINT64_MAX : window_.front().seq,

@@ -11,13 +11,13 @@
 #include <vector>
 
 #include "common/status.h"
-#include "core/bitset_conformity.h"
 #include "core/cce.h"
 #include "core/dataset.h"
 #include "core/types.h"
 #include "io/context_wal.h"
 #include "io/env.h"
 #include "obs/metrics.h"
+#include "serving/shard_index.h"
 
 namespace cce::serving {
 
@@ -33,12 +33,9 @@ namespace cce::serving {
 /// bit-identical to a 1-shard configuration.
 ///
 /// Each shard also keeps a persistent bitset index of its window (a
-/// BitsetConformityChecker, maintained under the shard lock on every window
-/// change), from which ReadIndex copies exactly what one key search needs.
-/// Window row i is index row id front_id + i: eviction always pops the
-/// front, so the live ids are one contiguous range. When fewer than half
-/// the allocated ids are live, the dead front words are shifted out of
-/// every bitmap (docs/algorithms.md "The shard-index read path").
+/// ShardIndex, fed every window change under the shard lock), from which
+/// ReadIndex copies exactly what one key search needs (docs/algorithms.md
+/// "The shard-index read path").
 ///
 /// States (fail-soft discipline; Create never fails for I/O damage):
 ///
@@ -145,33 +142,19 @@ class ContextShard {
   /// beyond per-shard sequence order; the caller merges by seq).
   void SnapshotInto(std::vector<Row>* out) const;
 
-  /// One (x0, y0) whose index slice ReadIndex copies.
-  struct SliceQuery {
-    const Instance* x = nullptr;
-    Label y = 0;
-  };
+  using SliceQuery = ShardIndex::SliceQuery;
 
   /// Where ReadIndex put this shard's slices in the caller's buffer.
-  struct IndexSlices {
-    /// First word of query 0's block; query q's block starts at
-    /// offset + q * (num_features + 1) * words.
-    size_t offset = 0;
-    /// Words per array (0 for an empty window).
-    size_t words = 0;
-    /// Bit of the window's front row in each array's first word.
-    size_t first_bit = 0;
+  struct IndexSlices : ShardIndex::Slices {
     /// Rows in the window.
     size_t rows = 0;
   };
 
-  /// Under the shard lock, appends to `words` one Srk::BitsetPart block per
-  /// query over this shard's window — live & ~label[y], then
-  /// live & value[f][x[f]] for every feature f — with window row i at bit
-  /// first_bit + i. Replaces `head_seqs` with the sequence numbers of the
-  /// window's first min(window, head_rows) rows (the caller merges them
-  /// across shards to find each shard's share of the global head). Copies
-  /// only x0's slice: O(features * window / 64) words, no allocation
-  /// beyond the caller's buffers.
+  /// Under the shard lock, appends the index's slices for `queries` to
+  /// `words` (ShardIndex::AppendSlices) and replaces `head_seqs` with the
+  /// sequence numbers of the window's first min(window, head_rows) rows
+  /// (the caller merges them across shards to find each shard's share of
+  /// the global head).
   IndexSlices ReadIndex(const std::vector<SliceQuery>& queries,
                         size_t head_rows, std::vector<uint64_t>* words,
                         std::vector<uint64_t>* head_seqs) const;
@@ -241,8 +224,6 @@ class ContextShard {
   void SyncFsyncCountersLocked();
   void SetStateLocked(State state);
   void PushRowLocked(uint64_t seq, const Instance& x, Label y);
-  /// Replaces the index with an empty one; the window must be empty.
-  void ResetIndexLocked();
 
   std::shared_ptr<const Schema> schema_;
   Options options_;
@@ -251,12 +232,7 @@ class ContextShard {
 
   mutable std::mutex mu_;
   std::deque<Row> window_;
-  /// The (always empty) context the index is constructed over; rows reach
-  /// the index only through AddRow. Must outlive index_.
-  Context index_base_;
-  std::unique_ptr<BitsetConformityChecker> index_;
-  /// Index row id of window_.front().
-  size_t front_id_ = 0;
+  ShardIndex index_;  // holds exactly window_'s rows, in window order
   std::unique_ptr<io::ContextWal> wal_;  // null for in-memory shards
   std::unique_ptr<DriftMonitor> drift_;
   std::string quarantine_reason_;

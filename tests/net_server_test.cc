@@ -609,6 +609,46 @@ TEST(NetServerTest, HttpMetricsHealthzAndNotFound) {
   EXPECT_GE(stack.server->GetStats().metrics_scrapes, 1u);
 }
 
+TEST(NetServerTest, HealthzNeverBlocksTheEventLoop) {
+  // A Predict held at the gate keeps the leader proxy's lock, which the
+  // /healthz probe needs. The probe must wait for it on a worker: the
+  // event loop keeps answering every other connection meanwhile.
+  NetServer::Options options;
+  options.worker_threads = 3;
+  GatedEndpoint gate;
+  NetStack stack(options, {}, /*rows=*/120, &gate);
+  NetClient predictor = stack.Connect();
+  ASSERT_TRUE(predictor
+                  .Send(stack.MakeRequest(MessageType::kPredictRequest,
+                                          /*id=*/1, /*row=*/0))
+                  .ok());
+  gate.WaitEntered();
+
+  const obs::Registry& registry = stack.server->registry();
+  const uint64_t read_before =
+      CounterTotal(registry, "cce_net_bytes_read_total");
+  NetClient prober = stack.Connect();
+  Result<std::string> probe = Status::Internal("probe never ran");
+  std::thread probe_thread([&] { probe = prober.HttpGet("/healthz"); });
+  // Once the byte counter moves, the loop has read the probe's head.
+  while (CounterTotal(registry, "cce_net_bytes_read_total") == read_before) {
+    std::this_thread::yield();
+  }
+  NetClient recorder = stack.Connect();
+  auto recorded = recorder.Call(
+      stack.MakeRequest(MessageType::kRecordRequest, /*id=*/2, /*row=*/1));
+  // Release before asserting, so a failure still unblocks the probe.
+  gate.Release();
+  probe_thread.join();
+  ASSERT_TRUE(recorded.ok()) << recorded.status().ToString();
+  EXPECT_EQ(recorded->status, WireStatus::kOk);
+  ASSERT_TRUE(probe.ok()) << probe.status().ToString();
+  EXPECT_EQ(*probe, "ok\n");
+  auto predicted = predictor.Receive();
+  ASSERT_TRUE(predicted.ok()) << predicted.status().ToString();
+  EXPECT_EQ(predicted->status, WireStatus::kOk);
+}
+
 TEST(NetServerTest, BadMagicAnsweredThenClosed) {
   NetStack stack;
   NetClient client = stack.Connect();

@@ -1,20 +1,24 @@
 // The shard-index read path (docs/algorithms.md "The shard-index read
-// path"): every ContextShard keeps a persistent bitset index of its window,
-// and the proxy's Explain/ExplainBatch search copies of x0's slice of those
-// indexes instead of a materialized context. The contract is exact: after
-// ANY sequence of window changes — Records, capacity eviction, compaction,
-// index compactions at the half-live threshold, quarantine + repair, durable
-// restarts — the proxy's keys equal Srk::ExplainInstance (the sorted-merge
-// reference engine) on ContextSnapshot() in every field, at 1 and 4
-// shards. A Record-vs-Explain race runs in SUITE=stress under TSan.
+// path"): every ContextShard keeps a persistent bitset index of its window
+// (a ShardIndex), and the proxy's Explain/ExplainBatch search copies of
+// x0's slice of those indexes instead of a materialized context. The
+// contract is exact: after ANY sequence of window changes — Records,
+// capacity eviction, compaction, index compactions at the half-live
+// threshold, quarantine + repair, durable restarts — the proxy's keys equal
+// Srk::ExplainInstance (the sorted-merge reference engine) on
+// ContextSnapshot() in every field, at 1 and 4 shards. Underneath, every
+// slice ShardIndex copies is checked bit for bit against its window. A
+// Record-vs-Explain race runs in SUITE=stress under TSan.
 
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <deque>
 #include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -24,6 +28,7 @@
 #include "core/srk.h"
 #include "obs/metrics.h"
 #include "serving/proxy.h"
+#include "serving/shard_index.h"
 #include "serving/shard_layout.h"
 #include "tests/test_util.h"
 
@@ -232,6 +237,116 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(info.param.seed);
     });
 
+/// Checks every bit of the slices AppendSlices put after `prefix` words of
+/// `words` for `queries`: window row i is bit first_bit + i of each array,
+/// set exactly when the row violates (array 0) or agrees with x on feature
+/// f (array 1 + f); every other bit is clear.
+void ExpectExactSlices(const ShardIndex::Slices& slices,
+                       const std::vector<uint64_t>& words, size_t prefix,
+                       const std::vector<ShardIndex::SliceQuery>& queries,
+                       const std::deque<std::pair<Instance, Label>>& window,
+                       size_t num_features, const std::string& what) {
+  ASSERT_EQ(slices.offset, prefix) << what;
+  ASSERT_LT(slices.first_bit, 64u) << what;
+  ASSERT_EQ(slices.words, (slices.first_bit + window.size() + 63) / 64)
+      << what;
+  ASSERT_EQ(words.size(),
+            prefix + queries.size() * (num_features + 1) * slices.words)
+      << what;
+  const uint64_t* array = words.data() + slices.offset;
+  for (size_t q = 0; q < queries.size(); ++q) {
+    for (size_t a = 0; a <= num_features; ++a) {
+      for (size_t bit = 0; bit < 64 * slices.words; ++bit) {
+        const bool set = (array[bit >> 6] >> (bit & 63)) & 1;
+        bool want = false;
+        if (bit >= slices.first_bit &&
+            bit < slices.first_bit + window.size()) {
+          const auto& [x, y] = window[bit - slices.first_bit];
+          want = a == 0 ? y != queries[q].y
+                        : x[a - 1] == (*queries[q].x)[a - 1];
+        }
+        ASSERT_EQ(set, want) << what << " query " << q << " array " << a
+                             << " bit " << bit;
+      }
+      array += slices.words;
+    }
+  }
+}
+
+TEST(ShardIndexTest, SlicesAreExactRowSetsAcrossSlidesAndCompactions) {
+  constexpr size_t kFeatures = 4;
+  constexpr size_t kDomain = 3;
+  constexpr size_t kWindow = 300;
+  const Dataset data =
+      cce::testing::RandomContext(4000, kFeatures, kDomain, 51);
+  ShardIndex index(data.schema());
+  std::deque<std::pair<Instance, Label>> window;
+  Rng rng(52);
+  // A value and a label the schema never interned: no bitmap backs them.
+  Instance alien = data.instance(0);
+  alien[2] = static_cast<ValueId>(kDomain);
+  const Label alien_label = 7;
+
+  size_t next_row = 0;
+  auto push = [&] {
+    const size_t row = next_row++ % data.size();
+    index.Push(data.instance(row), data.label(row));
+    window.emplace_back(data.instance(row), data.label(row));
+  };
+  auto check = [&](const std::string& what) {
+    const Instance& recorded = window[rng.Uniform(window.size())].first;
+    const Instance& other = data.instance(rng.Uniform(data.size()));
+    const std::vector<ShardIndex::SliceQuery> queries = {
+        {&recorded, 0}, {&other, 1}, {&alien, alien_label}, {&alien, 0}};
+    // Slices append after whatever the buffer already holds.
+    const size_t prefix = rng.Uniform(5);
+    std::vector<uint64_t> words(prefix, ~uint64_t{0});
+    const ShardIndex::Slices slices = index.AppendSlices(queries, &words);
+    ExpectExactSlices(slices, words, prefix, queries, window, kFeatures,
+                      what);
+    for (size_t w = 0; w < prefix; ++w) ASSERT_EQ(words[w], ~uint64_t{0});
+  };
+
+  for (size_t i = 0; i < kWindow; ++i) push();
+  size_t compactions = 0;
+  // Checking every 7th slide walks first_bit through all 64 offsets.
+  for (size_t slide = 0; slide < 3000; ++slide) {
+    push();
+    window.pop_front();
+    const bool compacted = index.PopFront();
+    if (compacted) ++compactions;
+    if (compacted || slide % 7 == 0) {
+      check("slide " + std::to_string(slide));
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+  EXPECT_GE(compactions, 10u);
+  EXPECT_GT(index.bytes(), 0u);
+
+  // Shrink the window to one row, then empty it: an empty index appends
+  // nothing.
+  while (window.size() > 1) {
+    window.pop_front();
+    index.PopFront();
+  }
+  check("one row");
+  window.pop_front();
+  index.PopFront();
+  std::vector<uint64_t> words(3, 0);
+  const ShardIndex::Slices empty = index.AppendSlices({{&alien, 0}}, &words);
+  EXPECT_EQ(empty.offset, 3u);
+  EXPECT_EQ(empty.words, 0u);
+  EXPECT_EQ(words.size(), 3u);
+
+  // Clear frees every bitmap; the index then fills again from id 0.
+  for (size_t i = 0; i < 100; ++i) push();
+  index.Clear();
+  window.clear();
+  EXPECT_EQ(index.bytes(), 0u);
+  for (size_t i = 0; i < 70; ++i) push();
+  check("after clear");
+}
+
 TEST(ShardIndexTest, TieBreakSampleSpansShardsInArrivalOrder) {
   // More rows than the tie-break sample, spread over 4 shards: the sample
   // is the first Srk::kTieBreakSampleRows rows of the MERGED window, so
@@ -254,10 +369,10 @@ TEST(ShardIndexTest, TieBreakSampleSpansShardsInArrivalOrder) {
 }
 
 TEST(ShardIndexTest, IndexMemoryStaysWithinDomainBound) {
-  // One bitmap per (feature, value) of the schema domain, plus one per
-  // label and the live mask, each at most 4 * peak window + 126 bits: the
-  // bound docs/operations.md "Sizing the shard index" states. A
-  // high-cardinality feature dominates it, whether or not its values occur.
+  // One bitmap per (feature, value) of the schema domain and one per
+  // label, each at most 4 * peak window + 126 bits: the bound
+  // docs/operations.md "Sizing the shard index" states. A high-cardinality
+  // feature dominates it, whether or not its values occur.
   constexpr size_t kWide = 5000;
   auto schema = std::make_shared<Schema>();
   for (size_t f = 0; f < 5; ++f) {
@@ -272,7 +387,7 @@ TEST(ShardIndexTest, IndexMemoryStaysWithinDomainBound) {
   }
   schema->InternLabel("neg");
   schema->InternLabel("pos");
-  const size_t bitmaps = 5 * 4 + kWide + 2 + 1;
+  const size_t bitmaps = 5 * 4 + kWide + 2;
 
   Dataset data(schema);
   Rng rng(41);
